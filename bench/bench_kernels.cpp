@@ -60,19 +60,23 @@ void BM_SmithWaterman(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sw::align(a, b));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n * n));  // DP cells
 }
 BENCHMARK(BM_SmithWaterman)->Arg(200)->Arg(1000);
 
-void BM_SmithWatermanBanded(benchmark::State& state) {
-  const std::string a = random_dna(1000, 3);
+void BM_SmithWatermanScore(benchmark::State& state) {
+  // The score-only pass validation runs on every candidate; items are DP
+  // cells, so items_per_second is the kernel's cell rate.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string a = random_dna(n, 2);
   std::string b = a;
-  b[500] = b[500] == 'A' ? 'C' : 'A';
+  b[n / 2] = b[n / 2] == 'A' ? 'C' : 'A';
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw::align_banded(a, b, 32));
+    benchmark::DoNotOptimize(sw::score_only(a, b));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n * n));
 }
-BENCHMARK(BM_SmithWatermanBanded);
+BENCHMARK(BM_SmithWatermanScore)->Arg(200)->Arg(1000);
 
 void BM_WeldHarvest(benchmark::State& state) {
   // One contig pair sharing a region, dense read support.

@@ -265,17 +265,19 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
     config_test flat_index_test transcript_index_test serve_test serve_fault_test \
-    serve_recovery_test serve_watchdog_test obs_test serve_metrics_test
+    serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
+    sw_test validate_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test transcript_index_test serve_test serve_fault_test \
-         serve_recovery_test serve_watchdog_test obs_test serve_metrics_test; do
+         serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
+         sw_test validate_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done
