@@ -277,7 +277,6 @@ int main(int argc, char** argv) {
                    "hybrid Chrysalis weld movement: pooled, overlap, or owner")
       .with_fault_flags();
   cfg.alias("nprocs", "ranks");
-  cfg.alias("overlap-pooling", "gff-sharding");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {

@@ -7,7 +7,11 @@
 #      kReportSchemaVersion in src/pipeline/run_report.hpp (the emitted
 #      report's version is asserted against the same constant by
 #      run_report_test in step 2); likewise "Metrics schema version" must
-#      match kMetricsSchemaVersion in src/obs/exposition.hpp.
+#      match kMetricsSchemaVersion in src/obs/exposition.hpp. Plus the
+#      orphan-header gate: every src/ header must be #included by
+#      production code — a file under src/ other than its own .cpp, or one
+#      under examples/ or perfbench/. Tests and bench/ do not count, so a
+#      module only they use is reported (and should be deleted).
 #   2. Tier-1 verify (ROADMAP.md): full build + complete ctest suite.
 #   3. Fault-matrix gate (docs/ROBUSTNESS.md): the injected-storage-failure
 #      matrix — ENOSPC and a torn rename at the manifest commit recovering
@@ -63,7 +67,9 @@
 #      and deadline tokens, the journal, and rank leases across
 #      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
 #      atomic instruments hammered by every serve thread while the
-#      exporter thread snapshots them), where sanitizers earn their keep.
+#      exporter thread snapshots them; for the fault matrix, the buffered
+#      stage-output writers unwinding mid-stream on injected faults),
+#      where sanitizers earn their keep.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -eu
@@ -73,7 +79,7 @@ cd "$repo_root"
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== docs: links + schema version =="
+echo "== docs: links + schema version + orphan headers =="
 docs_failed=0
 for doc in README.md EXPERIMENTS.md docs/*.md; do
     [ -f "$doc" ] || continue
@@ -130,6 +136,14 @@ fi
 for doc in README.md docs/SERVING.md; do
     if ! grep -q 'INDEXING.md' "$doc"; then
         echo "$doc does not link docs/INDEXING.md" >&2
+        docs_failed=1
+    fi
+done
+for hdr in $(find src -name '*.hpp' | sort); do
+    own_cpp=${hdr%.hpp}.cpp
+    if ! grep -rlF "#include \"${hdr#src/}\"" src examples perfbench \
+            | grep -vqx "$own_cpp"; then
+        echo "orphan header (no production includer): $hdr" >&2
         docs_failed=1
     fi
 done
@@ -265,19 +279,19 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate + fault-matrix tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
     config_test flat_index_test transcript_index_test serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-    sw_test validate_test
+    sw_test validate_test io_fault_matrix_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test transcript_index_test serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-         sw_test validate_test; do
+         sw_test validate_test io_fault_matrix_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

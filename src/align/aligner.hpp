@@ -98,13 +98,15 @@ class SeedExtendAligner {
 };
 
 /// Writes records as a SAM file with @HD/@SQ headers over the index's
-/// contigs. Unaligned records get the 0x4 flag.
+/// contigs. Unaligned records get the 0x4 flag. Streams through
+/// io::BufferedWriter; storage failures throw io::IoError.
 void write_sam(const std::string& path, const std::vector<SamRecord>& records,
                const std::vector<seq::Sequence>& contigs);
 
 /// Concatenates the record sections of several SAM files under one header —
 /// the paper's final merge of per-node Bowtie outputs. Headers of the
-/// inputs are dropped; `contigs` provides the merged header.
+/// inputs are dropped; `contigs` provides the merged header. Writes like
+/// write_sam.
 void merge_sam_files(const std::vector<std::string>& inputs, const std::string& output,
                      const std::vector<seq::Sequence>& contigs);
 

@@ -19,6 +19,7 @@ namespace trinity::chrysalis {
 /// Writes a ComponentSet as text:
 ///   #trinity-components <num_components> <num_contigs>
 ///   <component_id>: <contig_id> <contig_id> ...
+/// Streams through io::BufferedWriter; storage failures throw io::IoError.
 void write_components(const std::string& path, const ComponentSet& components);
 
 /// Reads a ComponentSet written by write_components. Validates the header,

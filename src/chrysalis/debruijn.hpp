@@ -61,9 +61,6 @@ class DeBruijnGraph {
   /// `read` on either strand.
   void quantify(const seq::Sequence& read);
 
-  /// Convenience over a batch of reads.
-  void quantify_all(const std::vector<seq::Sequence>& reads);
-
   /// Nodes with in-degree 0, in id order — Butterfly's path start points.
   [[nodiscard]] std::vector<std::int32_t> source_nodes() const;
 

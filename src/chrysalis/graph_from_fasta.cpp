@@ -41,10 +41,9 @@ const char* to_string(ShardingStrategy strategy) {
 }
 
 bool sharding_from_string(const std::string& text, ShardingStrategy* out) {
-  if (text == "pooled" || text == "false" || text == "0" || text == "no" || text == "off") {
+  if (text == "pooled") {
     *out = ShardingStrategy::kPooled;
-  } else if (text == "overlap" || text == "true" || text == "1" || text == "yes" ||
-             text == "on") {
+  } else if (text == "overlap") {
     *out = ShardingStrategy::kPooledOverlap;
   } else if (text == "owner") {
     *out = ShardingStrategy::kOwner;

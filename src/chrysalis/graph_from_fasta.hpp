@@ -78,10 +78,8 @@ enum class ShardingStrategy {
 /// "pooled", "overlap" or "owner" — the --gff-sharding spellings.
 [[nodiscard]] const char* to_string(ShardingStrategy strategy);
 
-/// Parses a --gff-sharding spelling into *out. Accepts the canonical
-/// "pooled"/"overlap"/"owner" plus the boolean spellings the deprecated
-/// --overlap-pooling alias used (true/1/yes/on -> overlap,
-/// false/0/no/off -> pooled). Returns false on any other text.
+/// Parses a --gff-sharding spelling ("pooled", "overlap" or "owner") into
+/// *out. Returns false on any other text.
 [[nodiscard]] bool sharding_from_string(const std::string& text, ShardingStrategy* out);
 
 /// GraphFromFasta parameters.

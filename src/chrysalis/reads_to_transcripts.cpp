@@ -41,19 +41,27 @@ kmer::FlatKmerIndex<std::int32_t> build_bundle_kmer_map(
   return bundle_of;
 }
 
-namespace detail {
+namespace {
 
-ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
-                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of, int k) {
+/// The tally-and-pick kernel both engines share: every canonical k-mer of
+/// the read is probed (`probe(code)` yields the k-mer's component, or
+/// nullptr when it belongs to none), and the component with the most
+/// shared k-mers wins, ties to the smaller id. Only the probe differs
+/// between the voting map and the index, which is what makes the two modes
+/// bit-identical. `labels_out`, when non-null, receives the sorted distinct
+/// components hit (the fragment-equivalence-class key).
+template <typename Probe>
+ReadAssignment tally_and_pick(const seq::Sequence& read, std::int64_t read_index, int k,
+                              Probe probe, std::vector<std::int32_t>* labels_out) {
   ReadAssignment out;
   out.read_index = read_index;
+  if (labels_out != nullptr) labels_out->clear();
 
   const seq::KmerCodec codec(k);
   const auto occurrences = codec.extract_canonical(read.bases);
   if (occurrences.empty()) return out;
 
-  // Tally shared k-mers per component; components are few per read, so a
-  // small flat vector beats a hash map here.
+  // Components are few per read, so a small flat vector beats a hash map.
   struct Tally {
     std::int32_t component;
     std::uint32_t count;
@@ -62,7 +70,7 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
   };
   std::vector<Tally> tallies;
   for (const auto& occ : occurrences) {
-    const auto* component = bundle_of.lookup(occ.code);
+    const std::int32_t* component = probe(occ.code);
     if (component == nullptr) continue;
     bool found = false;
     for (auto& t : tallies) {
@@ -74,56 +82,6 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
       }
     }
     if (!found) tallies.push_back({*component, 1, occ.position, occ.position});
-  }
-  if (tallies.empty()) return out;
-
-  const auto best = std::min_element(
-      tallies.begin(), tallies.end(), [](const Tally& a, const Tally& b) {
-        if (a.count != b.count) return a.count > b.count;  // most shared k-mers
-        return a.component < b.component;                  // deterministic tie
-      });
-  out.component = best->component;
-  out.shared_kmers = best->count;
-  out.region_begin = static_cast<std::uint32_t>(best->first);
-  out.region_end = static_cast<std::uint32_t>(best->last + static_cast<std::size_t>(k));
-  return out;
-}
-
-ReadAssignment assign_read_indexed(const seq::Sequence& read, std::int64_t read_index,
-                                   const TranscriptIndex& index, int k,
-                                   std::vector<std::int32_t>* labels_out) {
-  ReadAssignment out;
-  out.read_index = read_index;
-  if (labels_out != nullptr) labels_out->clear();
-
-  const seq::KmerCodec codec(k);
-  const auto occurrences = codec.extract_canonical(read.bases);
-  if (occurrences.empty()) return out;
-
-  // Interval-intersection consensus: each hit interval carries its
-  // component, so the tally loop is byte-for-byte the voting one with the
-  // map probe swapped for the index probe — which is what makes the two
-  // modes bit-identical.
-  struct Tally {
-    std::int32_t component;
-    std::uint32_t count;
-    std::size_t first;
-    std::size_t last;  // last k-mer start position
-  };
-  std::vector<Tally> tallies;
-  for (const auto& occ : occurrences) {
-    const PathInterval* hit = index.lookup(occ.code);
-    if (hit == nullptr) continue;
-    bool found = false;
-    for (auto& t : tallies) {
-      if (t.component == hit->component) {
-        ++t.count;
-        t.last = occ.position;
-        found = true;
-        break;
-      }
-    }
-    if (!found) tallies.push_back({hit->component, 1, occ.position, occ.position});
   }
   if (tallies.empty()) return out;
 
@@ -145,15 +103,41 @@ ReadAssignment assign_read_indexed(const seq::Sequence& read, std::int64_t read_
   return out;
 }
 
+/// One readsToComponents.out.tsv row.
+template <typename Out>
+void write_assignment_row(Out& out, const ReadAssignment& a) {
+  out << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
+      << a.region_begin << '\t' << a.region_end << '\n';
+}
+
+}  // namespace
+
+namespace detail {
+
+ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
+                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of, int k) {
+  return tally_and_pick(
+      read, read_index, k, [&](seq::KmerCode code) { return bundle_of.lookup(code); },
+      nullptr);
+}
+
+ReadAssignment assign_read_indexed(const seq::Sequence& read, std::int64_t read_index,
+                                   const TranscriptIndex& index, int k,
+                                   std::vector<std::int32_t>* labels_out) {
+  return tally_and_pick(
+      read, read_index, k,
+      [&](seq::KmerCode code) -> const std::int32_t* {
+        const PathInterval* hit = index.lookup(code);
+        return hit != nullptr ? &hit->component : nullptr;
+      },
+      labels_out);
+}
+
 void write_assignments(const std::string& path,
                        const std::vector<ReadAssignment>& assignments) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_assignments: cannot open '" + path + "'");
-  for (const auto& a : assignments) {
-    out << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
-        << a.region_begin << '\t' << a.region_end << '\n';
-  }
-  if (!out) throw std::runtime_error("write_assignments: write failure on '" + path + "'");
+  io::BufferedWriter out(path);
+  for (const auto& a : assignments) write_assignment_row(out, a);
+  out.close();
 }
 
 }  // namespace detail
@@ -165,6 +149,14 @@ namespace {
 struct Assigner {
   const kmer::FlatKmerIndex<std::int32_t>* vote = nullptr;
   const TranscriptIndex* index = nullptr;
+
+  /// Classifies one read; `labels_out` is filled in index mode only.
+  ReadAssignment operator()(const seq::Sequence& read, std::int64_t read_index, int k,
+                            std::vector<std::int32_t>* labels_out) const {
+    return index != nullptr
+               ? detail::assign_read_indexed(read, read_index, *index, k, labels_out)
+               : detail::assign_read(read, read_index, *vote, k);
+  }
 };
 
 /// Whether an existing index file should be mmapped instead of building.
@@ -235,21 +227,11 @@ double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_
         const std::int64_t read_index = base_index + static_cast<std::int64_t>(i);
         // kernel_repeats: see the options doc; extra iterations are discarded.
         for (int rep = 1; rep < options.kernel_repeats; ++rep) {
-          if (assigner.index != nullptr) {
-            (void)detail::assign_read_indexed(chunk[i], read_index, *assigner.index,
-                                              options.k);
-          } else {
-            (void)detail::assign_read(chunk[i], read_index, *assigner.vote, options.k);
-          }
+          (void)assigner(chunk[i], read_index, options.k, nullptr);
         }
-        if (assigner.index != nullptr) {
-          assignments[offset + i] = detail::assign_read_indexed(
-              chunk[i], read_index, *assigner.index, options.k,
-              chunk_labels != nullptr ? &(*chunk_labels)[i] : nullptr);
-        } else {
-          assignments[offset + i] =
-              detail::assign_read(chunk[i], read_index, *assigner.vote, options.k);
-        }
+        assignments[offset + i] = assigner(
+            chunk[i], read_index, options.k,
+            chunk_labels != nullptr ? &(*chunk_labels)[i] : nullptr);
       },
       "r2t.chunk");
 }
@@ -304,18 +286,17 @@ std::string rank_output_path(const std::string& output_dir, int rank) {
 /// cat command" by the master process. Returns wall seconds.
 double concatenate_outputs(const std::vector<std::string>& inputs, const std::string& output) {
   util::Timer wall;
-  std::ofstream out(output, std::ios::binary);
-  if (!out) throw std::runtime_error("ReadsToTranscripts: cannot open '" + output + "'");
+  io::BufferedWriter out(output);
   for (const auto& path : inputs) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("ReadsToTranscripts: cannot open '" + path + "'");
     // operator<<(streambuf*) sets failbit on an empty input; copy manually.
     char buffer[1 << 16];
     while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-      out.write(buffer, in.gcount());
+      out << std::string_view(buffer, static_cast<std::size_t>(in.gcount()));
     }
   }
-  if (!out) throw std::runtime_error("ReadsToTranscripts: write failure on '" + output + "'");
+  out.close();
   return wall.seconds();
 }
 
@@ -571,10 +552,7 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       ctx.barrier();
       util::Timer wall;
       std::ostringstream body;
-      for (const auto& a : my_assignments) {
-        body << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
-             << a.region_begin << '\t' << a.region_end << '\n';
-      }
+      for (const auto& a : my_assignments) write_assignment_row(body, a);
       const std::string data = body.str();
       simpi::write_file_ordered(ctx, result.merged_output_path, data);
       concat_seconds = ctx.allreduce_max(wall.seconds());

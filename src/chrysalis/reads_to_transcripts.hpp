@@ -202,7 +202,8 @@ ReadAssignment assign_read_indexed(const seq::Sequence& read, std::int64_t read_
                                    const TranscriptIndex& index, int k,
                                    std::vector<std::int32_t>* labels_out = nullptr);
 
-/// Writes assignments as TSV (read_index, component, shared, begin, end).
+/// Writes assignments as TSV (read_index, component, shared, begin, end)
+/// through io::BufferedWriter; storage failures throw io::IoError.
 void write_assignments(const std::string& path, const std::vector<ReadAssignment>& assignments);
 
 }  // namespace detail

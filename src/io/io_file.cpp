@@ -117,8 +117,7 @@ IoFile IoFile::open_append(const std::string& path) {
   return IoFile(fd, path);
 }
 
-IoFile::IoFile(IoFile&& other) noexcept : fd_(other.fd_), path_(std::move(other.path_)),
-                                          bytes_written_(other.bytes_written_) {
+IoFile::IoFile(IoFile&& other) noexcept : fd_(other.fd_), path_(std::move(other.path_)) {
   other.fd_ = -1;
 }
 
@@ -127,7 +126,6 @@ IoFile& IoFile::operator=(IoFile&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     path_ = std::move(other.path_);
-    bytes_written_ = other.bytes_written_;
     other.fd_ = -1;
   }
   return *this;
@@ -153,7 +151,6 @@ void IoFile::write_all(std::string_view data) {
       const ssize_t n = ::write(fd_, data.data() + written, half - written);
       if (n < 0) break;
       written += static_cast<std::size_t>(n);
-      bytes_written_ += static_cast<std::uint64_t>(n);
     }
     throw IoError(IoErrorKind::kTransient, "write", path_, EIO,
                   "injected fault: short write (" + std::to_string(written) + " of " +
@@ -169,7 +166,6 @@ void IoFile::write_all(std::string_view data) {
                       std::to_string(data.size()) + " bytes");
     }
     written += static_cast<std::size_t>(n);
-    bytes_written_ += static_cast<std::uint64_t>(n);
   }
 }
 
@@ -189,7 +185,6 @@ void IoFile::pwrite_all(std::string_view data, std::uint64_t offset) {
                                  static_cast<off_t>(offset + written));
       if (n < 0) break;
       written += static_cast<std::size_t>(n);
-      bytes_written_ += static_cast<std::uint64_t>(n);
     }
     throw IoError(IoErrorKind::kTransient, "write", path_, EIO,
                   "injected fault: short write (" + std::to_string(written) + " of " +
@@ -206,7 +201,6 @@ void IoFile::pwrite_all(std::string_view data, std::uint64_t offset) {
                   "positioned write failure at offset " + std::to_string(offset + written));
     }
     written += static_cast<std::size_t>(n);
-    bytes_written_ += static_cast<std::uint64_t>(n);
   }
 }
 
@@ -222,6 +216,21 @@ void IoFile::close() {
   const int fd = fd_;
   fd_ = -1;
   if (::close(fd) < 0) throw_errno("close", path_, errno, "close failure");
+}
+
+BufferedWriter::BufferedWriter(const std::string& path) : file_(IoFile::create(path)) {
+  buffer_.reserve(kCapacity);
+}
+
+void BufferedWriter::flush() {
+  if (buffer_.empty()) return;
+  file_.write_all(buffer_);
+  buffer_.clear();
+}
+
+void BufferedWriter::close() {
+  flush();
+  file_.close();
 }
 
 void rename_file(const std::string& from, const std::string& to) {

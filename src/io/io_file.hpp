@@ -2,8 +2,9 @@
 // IoFile / IoFs: the storage shim every durable writer goes through.
 //
 // Production call sites (simpi::write_file_ordered, checkpoint manifest
-// commits, kmer partition spills, the FASTA/FASTQ writers) open, write,
-// fsync and rename through this layer instead of raw ofstream/syscalls.
+// commits, the FASTA/FASTQ writers, the SAM / components / read-assignment
+// stage outputs) open, write, fsync and rename through this layer instead
+// of raw ofstream/syscalls.
 // That buys two things at once:
 //
 //  1. Real failures become typed: every syscall error surfaces as an
@@ -22,6 +23,9 @@
 // except under an injected torn rename, which is exactly the failure the
 // manifest loader's corrupt-line tolerance exists to absorb.
 
+#include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -96,15 +100,49 @@ class IoFile {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
-  /// Bytes successfully written through this handle (both write paths).
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   IoFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
 
   int fd_ = -1;
   std::string path_;
-  std::uint64_t bytes_written_ = 0;
+};
+
+/// Streams formatted text into a fresh file through a bounded buffer: the
+/// text piles up in memory and goes to IoFile::write_all() each time it
+/// reaches kCapacity bytes, so an output of any size costs about kCapacity
+/// of RAM, and every flush is a typed, fault-injectable write. close()
+/// writes the tail; destruction without close() (an exception unwinding)
+/// drops it.
+class BufferedWriter {
+ public:
+  static constexpr std::size_t kCapacity = std::size_t{1} << 20;
+
+  explicit BufferedWriter(const std::string& path);
+
+  BufferedWriter& operator<<(std::string_view text) {
+    buffer_.append(text);
+    if (buffer_.size() >= kCapacity) flush();
+    return *this;
+  }
+  BufferedWriter& operator<<(char c) { return *this << std::string_view(&c, 1); }
+  /// Decimal, exactly as std::ostream prints an integer.
+  template <std::integral T>
+    requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+  BufferedWriter& operator<<(T value) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    return *this << std::string_view(digits, static_cast<std::size_t>(end - digits));
+  }
+
+  /// Writes the buffered tail and closes the file, reporting errors.
+  void close();
+
+ private:
+  void flush();
+
+  IoFile file_;
+  std::string buffer_;
 };
 
 /// Renames `from` over `to` (atomic on POSIX), honoring rename faults: a

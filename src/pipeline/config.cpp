@@ -149,9 +149,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_string("gff-sharding", chrysalis::to_string(defaults.gff_sharding),
               "GraphFromFasta weld movement (pooled, overlap, owner); components "
               "are identical across all three");
-  // The pre-ShardingStrategy boolean spelling; its true/false values map to
-  // overlap/pooled in pipeline_options().
-  alias("overlap-pooling", "gff-sharding");
   flag_bool("gff-hybrid-setup", defaults.gff_hybrid_setup,
             "cooperative GraphFromFasta setup (the paper's future work)");
   flag_string("r2t-strategy",
@@ -372,20 +369,6 @@ Config& Config::parse_json_text(std::string_view text, const std::string& origin
   return *this;
 }
 
-Config Config::from_cli(int argc, const char* const* argv) {
-  Config cfg(argc > 0 ? argv[0] : "trinity", "Trinity pipeline configuration");
-  cfg.with_pipeline();
-  cfg.parse_cli(argc, argv);
-  return cfg;
-}
-
-Config Config::from_json(const std::string& path) {
-  Config cfg("trinity", "Trinity pipeline configuration");
-  cfg.with_pipeline();
-  cfg.parse_json_file(path);
-  return cfg;
-}
-
 std::string Config::help_text() const {
   std::ostringstream out;
   out << "usage: " << program_ << " [options]";
@@ -527,8 +510,6 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   }
   options.gff_hybrid_setup = get_bool("gff-hybrid-setup");
 
-  // Boolean spellings are accepted for the deprecated --overlap-pooling
-  // alias: its old true/false values mean overlap/pooled.
   const std::string sharding = get_string("gff-sharding");
   if (!chrysalis::sharding_from_string(sharding, &options.gff_sharding)) {
     throw ConfigError("gff-sharding",

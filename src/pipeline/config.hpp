@@ -104,11 +104,6 @@ class Config {
   /// Same, from in-memory text; `origin` labels errors (a path or "<cli>").
   Config& parse_json_text(std::string_view text, const std::string& origin);
 
-  /// One-call forms with the full pipeline flag set — the common case for
-  /// a pipeline-driving binary with no extra flags.
-  [[nodiscard]] static Config from_cli(int argc, const char* const* argv);
-  [[nodiscard]] static Config from_json(const std::string& path);
-
   // --- results -------------------------------------------------------------
 
   [[nodiscard]] bool help_requested() const { return help_requested_; }
@@ -140,7 +135,7 @@ class Config {
   [[nodiscard]] simpi::FaultPlan fault_plan() const;
 
   /// Current values (set or default) of every declared flag, as a JSON
-  /// object with canonical names — from_json(to_json()) round-trips.
+  /// object with canonical names — parse_json_text(to_json().dump()) round-trips.
   [[nodiscard]] util::Json to_json() const;
 
  private:

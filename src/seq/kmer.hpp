@@ -50,11 +50,6 @@ class KmerCodec {
     return code < rc ? code : rc;
   }
 
-  /// First (leftmost) base code of a packed k-mer.
-  [[nodiscard]] std::uint8_t first_base(KmerCode code) const {
-    return static_cast<std::uint8_t>((code >> (2 * (k_ - 1))) & 3u);
-  }
-
   /// Last (rightmost) base code of a packed k-mer.
   [[nodiscard]] static std::uint8_t last_base(KmerCode code) {
     return static_cast<std::uint8_t>(code & 3u);

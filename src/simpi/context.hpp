@@ -186,7 +186,7 @@ class Context {
   [[nodiscard]] bool has_message(int source, int tag);
 
   /// Library-extension transfers (simpi/nonblocking.hpp collectives,
-  /// SubComm, collective file output): uncosted raw send/recv that may use
+  /// collective file output): uncosted raw send/recv that may use
   /// reserved negative tags. The extension charges its own modeled
   /// collective cost; the transfers are counted under CommOp::kExtension.
   /// Not for application code.

@@ -43,11 +43,6 @@ class RecvRequest {
 /// Posts a nonblocking receive for (source, tag).
 RecvRequest irecv(Context& ctx, int source, int tag);
 
-/// Buffered "nonblocking" send: identical to Context::send_bytes (which
-/// already returns after buffering), provided for symmetry so ported MPI
-/// code reads naturally.
-void isend_bytes(Context& ctx, int dest, int tag, std::span<const std::byte> bytes);
-
 /// Nonblocking allgatherv: the communication/computation-overlap primitive
 /// the overlapped weld pooling uses. Construction *starts* the collective —
 /// every rank posts its contribution to every peer immediately (sends are

@@ -1,7 +1,6 @@
 #include "util/resource_trace.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <stdexcept>
 
 #include "util/rss.hpp"
@@ -79,32 +78,6 @@ double ResourceTrace::total_wall_seconds() const {
   double total = 0.0;
   for (const auto& r : records_) total += r.wall_seconds;
   return total;
-}
-
-void ResourceTrace::print_table(std::ostream& out) const {
-  out << std::left << std::setw(28) << "phase" << std::right << std::setw(12) << "wall(s)"
-      << std::setw(12) << "cpu(s)" << std::setw(14) << "rss_peak(MB)" << '\n';
-  for (const auto& r : records_) {
-    out << std::left << std::setw(28) << r.name << std::right << std::fixed
-        << std::setprecision(3) << std::setw(12) << r.wall_seconds << std::setw(12)
-        << r.cpu_seconds << std::setprecision(1) << std::setw(14)
-        << static_cast<double>(r.rss_peak) / (1024.0 * 1024.0) << '\n';
-  }
-}
-
-void ResourceTrace::write_csv(std::ostream& out) const {
-  // Counters vary per phase, so they share one free-form column:
-  // semicolon-joined name=value pairs (docs/OBSERVABILITY.md, "Trace CSV").
-  out << "phase,start_s,wall_s,cpu_s,rss_before_b,rss_after_b,rss_peak_b,counters\n";
-  for (const auto& r : records_) {
-    out << r.name << ',' << r.start_seconds << ',' << r.wall_seconds << ',' << r.cpu_seconds
-        << ',' << r.rss_before << ',' << r.rss_after << ',' << r.rss_peak << ',';
-    for (std::size_t i = 0; i < r.counters.size(); ++i) {
-      if (i > 0) out << ';';
-      out << r.counters[i].name << '=' << r.counters[i].value;
-    }
-    out << '\n';
-  }
 }
 
 }  // namespace trinity::util

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,12 +75,6 @@ class ResourceTrace {
 
   /// Total wall time covered by completed phases.
   [[nodiscard]] double total_wall_seconds() const;
-
-  /// Writes a human-readable table (one row per phase) to `out`.
-  void print_table(std::ostream& out) const;
-
-  /// Writes the trace as CSV with a header row.
-  void write_csv(std::ostream& out) const;
 
  private:
   void sampler_loop(int interval_ms);

@@ -1,11 +1,11 @@
 // trinity::Config — the unified flag/JSON parsing path (pipeline/config.hpp).
 //
 // Pins the API-redesign contract: CLI and JSON land in the same validated
-// values, to_json()/from_json round-trips, every pipeline_options()
-// validation error is a typed ConfigError naming the field, unknown
-// flags/keys are rejected rather than silently defaulted, and the
-// deprecated spellings (--nprocs, --model-threads, --trace-file) keep
-// working while announcing themselves.
+// values, to_json() round-trips through parse_json_text, every
+// pipeline_options() validation error is a typed ConfigError naming the
+// field, unknown flags/keys are rejected rather than silently defaulted,
+// and the deprecated spellings (--nprocs, --model-threads, --trace-file)
+// keep working while announcing themselves.
 
 #include "pipeline/config.hpp"
 
@@ -127,15 +127,7 @@ TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {
   using chrysalis::ShardingStrategy;
   const std::vector<std::pair<std::string, ShardingStrategy>> cases = {
       {"pooled", ShardingStrategy::kPooled},
-      {"false", ShardingStrategy::kPooled},
-      {"0", ShardingStrategy::kPooled},
-      {"no", ShardingStrategy::kPooled},
-      {"off", ShardingStrategy::kPooled},
       {"overlap", ShardingStrategy::kPooledOverlap},
-      {"true", ShardingStrategy::kPooledOverlap},
-      {"1", ShardingStrategy::kPooledOverlap},
-      {"yes", ShardingStrategy::kPooledOverlap},
-      {"on", ShardingStrategy::kPooledOverlap},
       {"owner", ShardingStrategy::kOwner},
   };
   for (const auto& [spelling, want] : cases) {
@@ -149,20 +141,12 @@ TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {
 }
 
 TEST(ConfigSharding, BadValueIsATypedError) {
-  EXPECT_CONFIG_ERROR(
-      parse(pipeline_cfg(), {"--gff-sharding", "banana"}).pipeline_options(),
-      "gff-sharding");
-}
-
-TEST(ConfigSharding, DeprecatedOverlapPoolingAliasParsesAndAnnounces) {
-  auto cfg = parse(pipeline_cfg(), {"--overlap-pooling", "false"});
-  EXPECT_EQ(cfg.get_string("gff-sharding"), "false");
-  EXPECT_EQ(cfg.pipeline_options().gff_sharding, chrysalis::ShardingStrategy::kPooled);
-  ASSERT_EQ(cfg.deprecation_notes().size(), 1u);
-  EXPECT_EQ(cfg.deprecation_notes()[0],
-            "--overlap-pooling is deprecated; use --gff-sharding");
-  EXPECT_NE(pipeline_cfg().help_text().find("--overlap-pooling -> use --gff-sharding"),
-            std::string::npos);
+  // Boolean spellings included: only the three strategy names parse.
+  for (const char* spelling : {"banana", "true", "off"}) {
+    EXPECT_CONFIG_ERROR(
+        parse(pipeline_cfg(), {"--gff-sharding", spelling}).pipeline_options(),
+        "gff-sharding");
+  }
 }
 
 TEST(ConfigSharding, RoundTripsThroughToJson) {

@@ -1,12 +1,12 @@
 // The pipeline-level fault matrix: injected storage failures against the
-// real stage writers. Transient faults (EIO mid-spill, a short write on the
-// final transcripts) are retried in process; permanent ones (ENOSPC or a
-// torn rename at the manifest commit) fail the run with a typed IoError
-// whose checkpoints make a `resume` re-launch byte-identical to an
-// uninterrupted run. Plus graceful degradation: a tolerant run over a
-// corrupted read file completes and reports exact quarantine counts in
-// run_report.json (schema v2), while strict mode throws a located
-// ParseError.
+// real stage writers. Transient faults (EIO on the k-mer dump or on a
+// Chrysalis stage output, a short write on the final transcripts) are
+// retried in process; permanent ones (ENOSPC or a torn rename at the
+// manifest commit) fail the run with a typed IoError whose checkpoints
+// make a `resume` re-launch byte-identical to an uninterrupted run. Plus
+// graceful degradation: a tolerant run over a corrupted read file
+// completes and reports exact quarantine counts in run_report.json
+// (schema v2), while strict mode throws a located ParseError.
 
 #include <gtest/gtest.h>
 
@@ -105,6 +105,52 @@ TEST(IoFaultMatrix, ShortWriteOnTranscriptsIsRetriedAndRewritesWhole) {
   // The retry must overwrite the torn half, not append to it.
   EXPECT_EQ(slurp(dir.file("Trinity.fa")), baseline_transcripts());
 }
+
+/// A transient EIO on the first write of one Chrysalis stage output, at a
+/// given rank count. At two ranks the assignments file is the rank-0
+/// concatenation of the per-rank files, so that path is covered as well.
+struct StageWriterFault {
+  const char* file;
+  const char* stage;
+  int ranks;
+};
+
+// gtest would otherwise print the struct's raw bytes (pointers included)
+// into the test name, which then changes from run to run.
+void PrintTo(const StageWriterFault& c, std::ostream* os) {
+  *os << c.file << " at " << c.ranks << (c.ranks == 1 ? " rank" : " ranks");
+}
+
+class StageWriterEio : public ::testing::TestWithParam<StageWriterFault> {};
+
+TEST_P(StageWriterEio, IsRetriedInProcess) {
+  const StageWriterFault& c = GetParam();
+  const TempDir dir("matrix_writer");
+  auto options = small_options(dir.str());
+  options.nranks = c.ranks;
+  options.io_fault = io::IoFaultPlan::parse(std::string("write:*") + c.file + ":1:eio");
+  const auto result = run_pipeline(shared_dataset().reads.reads, options);
+
+  EXPECT_EQ(result.io_retries, 1);
+  EXPECT_TRUE(trace_has_phase(result, std::string(c.stage) + ".retry2"));
+  EXPECT_EQ(slurp(dir.file("Trinity.fa")), baseline_transcripts());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChrysalisOutputs, StageWriterEio,
+    ::testing::Values(StageWriterFault{"bowtie.sam", "chrysalis.bowtie", 1},
+                      StageWriterFault{"bowtie.sam", "chrysalis.bowtie", 2},
+                      StageWriterFault{"components.txt", "chrysalis.graph_from_fasta", 1},
+                      StageWriterFault{"components.txt", "chrysalis.graph_from_fasta", 2},
+                      StageWriterFault{"readsToComponents.out.tsv",
+                                       "chrysalis.reads_to_transcripts", 1},
+                      StageWriterFault{"readsToComponents.out.tsv",
+                                       "chrysalis.reads_to_transcripts", 2}),
+    [](const ::testing::TestParamInfo<StageWriterFault>& info) {
+      std::string name = info.param.file;
+      name = name.substr(0, name.find('.'));
+      return name + "_ranks" + std::to_string(info.param.ranks);
+    });
 
 TEST(IoFaultMatrix, ExhaustedRetryBudgetSurfacesTheTypedError) {
   const TempDir dir("matrix_budget");

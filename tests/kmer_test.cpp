@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <thread>
 
@@ -135,22 +134,6 @@ TEST(KmerCounterTest, ConcurrentInsertsAreExact) {
   EXPECT_EQ(counter.total(), expected_total * kThreads);
 }
 
-TEST(KmerDumpTest, TextRoundTrip) {
-  const TempDir dir("dump");
-  KmerCounter counter(opts(7));
-  counter.add_sequence({"s", random_dna(200, 9)});
-  const auto counts = counter.dump();
-  const seq::KmerCodec codec(7);
-  write_dump_text(dir.file("k.txt"), counts, codec);
-  const auto got = read_dump_text(dir.file("k.txt"), codec);
-  ASSERT_EQ(got.size(), counts.size());
-  std::map<seq::KmerCode, std::uint32_t> a;
-  std::map<seq::KmerCode, std::uint32_t> b;
-  for (const auto& kc : counts) a[kc.code] = kc.count;
-  for (const auto& kc : got) b[kc.code] = kc.count;
-  EXPECT_EQ(a, b);
-}
-
 TEST(KmerDumpTest, BinaryRoundTrip) {
   const TempDir dir("bdump");
   KmerCounter counter(opts(25));
@@ -180,15 +163,6 @@ TEST(KmerDumpTest, TruncatedBinaryThrows) {
   const auto path = dir.file("k.bin");
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
   EXPECT_THROW(read_dump_binary(path, 11), std::runtime_error);
-}
-
-TEST(KmerDumpTest, MalformedTextThrows) {
-  const TempDir dir("badtext");
-  std::ofstream out(dir.file("bad.txt"));
-  out << "5\nACGTACG\n";  // missing '>' prefix
-  out.close();
-  const seq::KmerCodec codec(7);
-  EXPECT_THROW(read_dump_text(dir.file("bad.txt"), codec), std::runtime_error);
 }
 
 }  // namespace
