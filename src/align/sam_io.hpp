@@ -17,9 +17,9 @@ struct SamFile {
   std::vector<SamRecord> records;
 };
 
-/// Parses a SAM file produced by write_sam / merge_sam_files (and any SAM
-/// restricted to the same columns). Unmapped records (flag 0x4) come back
-/// with target_id == -1. target_id indexes `references`. Throws
+/// Parses a SAM file produced by write_sam (and any SAM restricted to the
+/// same columns). Unmapped records (flag 0x4) come back with
+/// target_id == -1. target_id indexes `references`. Throws
 /// std::runtime_error on malformed rows, unknown reference names, or
 /// coordinates outside the reference length.
 SamFile read_sam(const std::string& path);

@@ -144,18 +144,18 @@ void write_assignments(const std::string& path,
 
 namespace {
 
-/// The assignment engine a run classifies with: exactly one of the two
-/// pointers is set (R2TMode::kVote -> vote, kIndex -> index).
+/// The assignment engine a run classifies with: the transcript index
+/// (R2TMode::kIndex, `index` set) or the per-run voting map (kVote).
 struct Assigner {
-  const kmer::FlatKmerIndex<std::int32_t>* vote = nullptr;
-  const TranscriptIndex* index = nullptr;
+  kmer::FlatKmerIndex<std::int32_t> vote;
+  std::shared_ptr<const TranscriptIndex> index;
 
   /// Classifies one read; `labels_out` is filled in index mode only.
   ReadAssignment operator()(const seq::Sequence& read, std::int64_t read_index, int k,
                             std::vector<std::int32_t>* labels_out) const {
     return index != nullptr
                ? detail::assign_read_indexed(read, read_index, *index, k, labels_out)
-               : detail::assign_read(read, read_index, *vote, k);
+               : detail::assign_read(read, read_index, vote, k);
   }
 };
 
@@ -210,18 +210,58 @@ std::shared_ptr<const TranscriptIndex> acquire_index(
   return built;
 }
 
-/// Processes one in-memory chunk with an OpenMP team; returns the modeled
-/// loop seconds and appends to `assignments`. In index mode `chunk_labels`
-/// (when non-null) receives each read's equivalence-class label set.
-double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
-                     const Assigner& assigner, const ReadsToTranscriptsOptions& options,
-                     int real_threads, std::vector<ReadAssignment>& assignments,
-                     std::vector<std::vector<std::int32_t>>* chunk_labels = nullptr) {
-  const std::size_t offset = assignments.size();
-  assignments.resize(offset + chunk.size());
-  if (chunk_labels != nullptr) chunk_labels->assign(chunk.size(), {});
+/// Sets up the run's engine and records its cost in `timing`. Setup stays
+/// OpenMP-only and runs redundantly per rank ("we have not converted this
+/// to a hybrid implementation yet" — paper, Section V.B). Index mode breaks
+/// the redundancy on the warm path: every rank mmaps the same file. In a
+/// hybrid run (`ctx` non-null) load-vs-build is decided once at rank 0 and
+/// broadcast — a per-rank existence check could race with rank 0's save
+/// under kAuto, leaving ranks disagreeing on index_source — and cold builds
+/// persist from rank 0 only.
+Assigner make_assigner(simpi::Context* ctx, const std::vector<seq::Sequence>& contigs,
+                       const ComponentSet& components,
+                       const ReadsToTranscriptsOptions& options, R2TTiming& timing) {
+  Assigner assigner;
+  if (options.mode == R2TMode::kIndex) {
+    bool load_existing = false;
+    if (ctx == nullptr) {
+      load_existing = index_file_present(options);
+    } else {
+      std::vector<std::uint8_t> flag{
+          static_cast<std::uint8_t>(ctx->rank() == 0 && index_file_present(options) ? 1 : 0)};
+      ctx->bcast(flag, 0);
+      load_existing = flag[0] != 0;
+    }
+    assigner.index = acquire_index(contigs, components, options, load_existing,
+                                   /*persist=*/ctx == nullptr || ctx->rank() == 0, timing);
+    timing.setup_seconds = timing.index_build_seconds + timing.index_load_seconds;
+  } else {
+    util::ThreadCpuTimer setup_cpu;
+    assigner.vote = build_bundle_kmer_map(contigs, components, options.k);
+    timing.setup_seconds = setup_cpu.seconds();
+  }
+  return assigner;
+}
+
+/// What one rank's chunk loop accumulates.
+struct RankLoop {
+  std::vector<ReadAssignment> assignments;
+  EquivalenceClassCounter eq;  ///< fed in index mode only
+  double seconds = 0.0;        ///< modeled loop seconds, chunk reads included
+  std::uint64_t chunks = 0;    ///< chunks this rank classified
+};
+
+/// Classifies one in-memory chunk with an OpenMP team into `loop`. In index
+/// mode each read's equivalence-class label set feeds `loop.eq`.
+void process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
+                   const Assigner& assigner, const ReadsToTranscriptsOptions& options,
+                   int real_threads, RankLoop& loop) {
+  const std::size_t offset = loop.assignments.size();
+  loop.assignments.resize(offset + chunk.size());
+  std::vector<std::vector<std::int32_t>> labels;
+  if (assigner.index != nullptr) labels.resize(chunk.size());
   const std::vector<IndexRange> all{IndexRange{0, chunk.size()}};
-  return timed_parallel_loop(
+  loop.seconds += timed_parallel_loop(
       all, real_threads, options.model_threads_per_rank,
       [&](std::size_t i) {
         const std::int64_t read_index = base_index + static_cast<std::int64_t>(i);
@@ -229,38 +269,51 @@ double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_
         for (int rep = 1; rep < options.kernel_repeats; ++rep) {
           (void)assigner(chunk[i], read_index, options.k, nullptr);
         }
-        assignments[offset + i] = assigner(
-            chunk[i], read_index, options.k,
-            chunk_labels != nullptr ? &(*chunk_labels)[i] : nullptr);
+        loop.assignments[offset + i] = assigner(
+            chunk[i], read_index, options.k, labels.empty() ? nullptr : &labels[i]);
       },
       "r2t.chunk");
+  for (const auto& set : labels) loop.eq.add(set);
+  ++loop.chunks;
 }
 
-/// Double-buffered chunk source (options.overlap_io): a helper thread
-/// parses the next chunk while the caller classifies the current one.
-/// next() returns the chunk in file order — identical to calling
-/// read_chunk() directly — plus the wall time the caller still spent
-/// blocked on the parse (the unhidden I/O remainder); hidden_seconds() is
-/// the parse CPU that ran behind compute. The reader is only ever touched
-/// by one thread at a time: the helper finishes (get()) before the next
-/// helper is launched.
-class PrefetchingChunkSource {
+/// The reads file as a stream of chunks in file order. next() returns the
+/// next chunk (empty at end of file) plus the seconds its read costs the
+/// loop. Inline, the caller parses and is charged the parse's thread CPU.
+/// Double-buffered (options.overlap_io), a helper thread parses the next
+/// chunk while the caller classifies the current one, and the caller is
+/// charged only the wall time it still spent blocked (the unhidden I/O
+/// remainder, summed in wait_seconds()); hidden_seconds() is the parse CPU
+/// that ran behind compute. The reader is only ever touched by one thread
+/// at a time: the helper finishes (get()) before the next one is launched.
+class ChunkSource {
  public:
-  PrefetchingChunkSource(seq::FastaReader& reader, std::size_t max_reads)
-      : reader_(reader), max_reads_(max_reads) {
-    launch();
+  ChunkSource(seq::FastaReader& reader, std::size_t max_reads, bool prefetch)
+      : reader_(reader), max_reads_(max_reads), prefetch_(prefetch) {
+    if (prefetch_) launch();
   }
+  // The helper thread holds `this`.
+  ChunkSource(const ChunkSource&) = delete;
+  ChunkSource& operator=(const ChunkSource&) = delete;
 
-  std::vector<seq::Sequence> next(double& blocked_wall) {
+  std::vector<seq::Sequence> next(double& cost) {
+    if (!prefetch_) {
+      util::ThreadCpuTimer read_cpu;
+      auto chunk = reader_.read_chunk(max_reads_);
+      cost = read_cpu.seconds();
+      return chunk;
+    }
     trace::SpanScope span("r2t.prefetch.wait", trace::kCatLoop);
     util::Timer blocked;
     auto chunk = pending_.get();
-    blocked_wall = blocked.seconds();
+    cost = blocked.seconds();
+    wait_ += cost;
     if (!chunk.empty()) launch();
     return chunk;
   }
 
   [[nodiscard]] double hidden_seconds() const { return hidden_; }
+  [[nodiscard]] double wait_seconds() const { return wait_; }
 
  private:
   void launch() {
@@ -274,9 +327,38 @@ class PrefetchingChunkSource {
 
   seq::FastaReader& reader_;
   std::size_t max_reads_;
+  bool prefetch_;
   double hidden_ = 0.0;  // only written by the helper, read after its get()
+  double wait_ = 0.0;
   std::future<std::vector<seq::Sequence>> pending_;
 };
+
+/// The redundant-streaming loop (paper Section V.B): streams the whole reads
+/// file and classifies the chunks whose index is congruent to `rank` modulo
+/// `size`; skipped chunks still cost their read. A shared-memory run is
+/// size 1, rank 0, keeping every chunk. Prefetch times go to `timing`;
+/// returns the reader's parse diagnostics.
+io::ParseDiagnostics stream_chunks(const std::string& reads_path, int size, int rank,
+                                   const Assigner& assigner,
+                                   const ReadsToTranscriptsOptions& options, int real_threads,
+                                   RankLoop& loop, R2TTiming& timing) {
+  seq::FastaReader reader(reads_path, options.parse_policy);
+  ChunkSource source(reader, options.max_mem_reads, options.overlap_io);
+  std::int64_t base_index = 0;
+  for (std::int64_t chunk_index = 0;; ++chunk_index) {
+    double read_cost = 0.0;
+    const auto chunk = source.next(read_cost);
+    loop.seconds += read_cost;
+    if (chunk.empty()) break;
+    if (chunk_index % size == rank) {
+      process_chunk(chunk, base_index, assigner, options, real_threads, loop);
+    }
+    base_index += static_cast<std::int64_t>(chunk.size());
+  }
+  timing.prefetch_wait_seconds = source.wait_seconds();
+  timing.prefetch_hidden_seconds = source.hidden_seconds();
+  return reader.diagnostics();
+}
 
 std::string rank_output_path(const std::string& output_dir, int rank) {
   return output_dir + "/readsToComponents.rank" + std::to_string(rank) + ".tsv";
@@ -314,76 +396,23 @@ R2TResult run_shared(const std::vector<seq::Sequence>& contigs, const ComponentS
                      const std::string& output_dir) {
   const int threads = resolve_omp_threads(options.omp_threads, /*hybrid=*/false);
   R2TResult result;
+  const Assigner assigner = make_assigner(nullptr, contigs, components, options, result.timing);
+  result.index = assigner.index;
 
-  kmer::FlatKmerIndex<std::int32_t> bundle_of;
-  Assigner assigner;
-  if (options.mode == R2TMode::kIndex) {
-    result.index = acquire_index(contigs, components, options, index_file_present(options),
-                                 /*persist=*/true, result.timing);
-    assigner.index = result.index.get();
-    result.timing.setup_seconds =
-        result.timing.index_build_seconds + result.timing.index_load_seconds;
-  } else {
-    util::ThreadCpuTimer setup_cpu;
-    bundle_of = build_bundle_kmer_map(contigs, components, options.k);
-    result.timing.setup_seconds = setup_cpu.seconds();
-    assigner.vote = &bundle_of;
-  }
-
-  EquivalenceClassCounter eq_counter;
-  std::vector<std::vector<std::int32_t>> chunk_labels;
-  auto* labels = assigner.index != nullptr ? &chunk_labels : nullptr;
-  const auto run_chunk = [&](const std::vector<seq::Sequence>& chunk,
-                             std::int64_t base_index) {
-    const double seconds = process_chunk(chunk, base_index, assigner, options, threads,
-                                         result.assignments, labels);
-    if (labels != nullptr) {
-      for (const auto& set : chunk_labels) eq_counter.add(set);
-    }
-    return seconds;
-  };
-
-  double loop_seconds = 0.0;
-  std::uint64_t chunks = 0;
-  seq::FastaReader reader(reads_path, options.parse_policy);
-  std::int64_t base_index = 0;
-  if (options.overlap_io) {
-    // Double-buffered: the next chunk parses on a helper thread while this
-    // one classifies; only the residual blocked wall time costs the loop.
-    PrefetchingChunkSource source(reader, options.max_mem_reads);
-    for (;;) {
-      double blocked = 0.0;
-      const auto chunk = source.next(blocked);
-      loop_seconds += blocked;
-      result.timing.prefetch_wait_seconds += blocked;
-      if (chunk.empty()) break;
-      loop_seconds += run_chunk(chunk, base_index);
-      base_index += static_cast<std::int64_t>(chunk.size());
-      ++chunks;
-    }
-    result.timing.prefetch_hidden_seconds = source.hidden_seconds();
-  } else {
-    for (;;) {
-      util::ThreadCpuTimer read_cpu;
-      const auto chunk = reader.read_chunk(options.max_mem_reads);
-      loop_seconds += read_cpu.seconds();
-      if (chunk.empty()) break;
-      loop_seconds += run_chunk(chunk, base_index);
-      base_index += static_cast<std::int64_t>(chunk.size());
-      ++chunks;
-    }
-  }
-  result.parse = reader.diagnostics();
-  result.timing.main_loop.seconds = {loop_seconds};
-  result.timing.rank_chunks = {chunks};
+  RankLoop loop;
+  result.parse = stream_chunks(reads_path, /*size=*/1, /*rank=*/0, assigner, options, threads,
+                               loop, result.timing);
+  result.assignments = std::move(loop.assignments);
+  result.timing.main_loop.seconds = {loop.seconds};
+  result.timing.rank_chunks = {loop.chunks};
   result.timing.rank_reads = {result.assignments.size()};
-  if (assigner.index != nullptr) result.eq_classes = eq_counter.classes();
+  if (assigner.index != nullptr) result.eq_classes = loop.eq.classes();
 
   if (!output_dir.empty()) {
     result.merged_output_path = output_dir + "/readsToComponents.out.tsv";
     detail::write_assignments(result.merged_output_path, result.assignments);
     if (assigner.index != nullptr) {
-      io::write_file(output_dir + "/eq_classes.tsv", eq_counter.serialize());
+      io::write_file(output_dir + "/eq_classes.tsv", loop.eq.serialize());
     }
   }
   return result;
@@ -396,94 +425,17 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   const double comm_before = ctx.comm_seconds();
   R2TResult result;
 
-  // Setup stays OpenMP-only and runs redundantly per rank ("we have not
-  // converted this to a hybrid implementation yet" — paper, Section V.B).
-  // Index mode breaks the redundancy on the warm path: every rank mmaps
-  // the same file, and cold builds persist from rank 0 only.
-  kmer::FlatKmerIndex<std::int32_t> bundle_of;
-  Assigner assigner;
-  double my_setup = 0.0;
-  if (options.mode == R2TMode::kIndex) {
-    // Load-vs-build is decided once at rank 0 and broadcast: a per-rank
-    // existence check could race with rank 0's save under kAuto, leaving
-    // ranks disagreeing on index_source.
-    std::vector<std::uint8_t> flag{
-        static_cast<std::uint8_t>(ctx.rank() == 0 && index_file_present(options) ? 1 : 0)};
-    ctx.bcast(flag, 0);
-    result.index = acquire_index(contigs, components, options, flag[0] != 0,
-                                 /*persist=*/ctx.rank() == 0, result.timing);
-    assigner.index = result.index.get();
-    my_setup = result.timing.index_build_seconds + result.timing.index_load_seconds;
-  } else {
-    util::ThreadCpuTimer setup_cpu;
-    bundle_of = build_bundle_kmer_map(contigs, components, options.k);
-    my_setup = setup_cpu.seconds();
-    assigner.vote = &bundle_of;
-  }
+  const Assigner assigner = make_assigner(&ctx, contigs, components, options, result.timing);
+  result.index = assigner.index;
 
-  std::vector<ReadAssignment> my_assignments;
-  EquivalenceClassCounter my_eq;
-  std::vector<std::vector<std::int32_t>> chunk_labels;
-  auto* labels = assigner.index != nullptr ? &chunk_labels : nullptr;
-  const auto run_chunk = [&](const std::vector<seq::Sequence>& chunk,
-                             std::int64_t base_index) {
-    const double seconds = process_chunk(chunk, base_index, assigner, options, threads,
-                                         my_assignments, labels);
-    if (labels != nullptr) {
-      for (const auto& set : chunk_labels) my_eq.add(set);
-    }
-    return seconds;
-  };
-  double my_loop = 0.0;
-  std::uint64_t my_chunks = 0;
-  constexpr int kChunkTag = 7;
-
-  double my_prefetch_hidden = 0.0;
-  double my_prefetch_wait = 0.0;
-
+  RankLoop loop;
   if (options.strategy == R2TStrategy::kRedundantStreaming) {
-    // Every rank streams the whole file and keeps chunks where
-    // chunk_index mod size == rank; discarded chunks still cost the read.
-    // With overlap_io the next chunk parses on a helper thread while this
-    // rank classifies its owned chunk, so the redundant read mostly hides
-    // behind compute and only the residual blocked wall time is charged.
-    seq::FastaReader reader(reads_path, options.parse_policy);
-    std::int64_t base_index = 0;
-    std::int64_t chunk_index = 0;
-    if (options.overlap_io) {
-      PrefetchingChunkSource source(reader, options.max_mem_reads);
-      for (;;) {
-        double blocked = 0.0;
-        const auto chunk = source.next(blocked);
-        my_loop += blocked;
-        my_prefetch_wait += blocked;
-        if (chunk.empty()) break;
-        if (chunk_index % ctx.size() == ctx.rank()) {
-          my_loop += run_chunk(chunk, base_index);
-          ++my_chunks;
-        }
-        base_index += static_cast<std::int64_t>(chunk.size());
-        ++chunk_index;
-      }
-      my_prefetch_hidden = source.hidden_seconds();
-    } else {
-      for (;;) {
-        util::ThreadCpuTimer read_cpu;
-        const auto chunk = reader.read_chunk(options.max_mem_reads);
-        my_loop += read_cpu.seconds();
-        if (chunk.empty()) break;
-        if (chunk_index % ctx.size() == ctx.rank()) {
-          my_loop += run_chunk(chunk, base_index);
-          ++my_chunks;
-        }
-        base_index += static_cast<std::int64_t>(chunk.size());
-        ++chunk_index;
-      }
-    }
-    result.parse = reader.diagnostics();
+    result.parse = stream_chunks(reads_path, ctx.size(), ctx.rank(), assigner, options, threads,
+                                 loop, result.timing);
   } else {
     // Master/slave ablation: rank 0 reads and ships chunks round-robin;
     // an empty payload is the end-of-stream sentinel.
+    constexpr int kChunkTag = 7;
     if (ctx.rank() == 0) {
       seq::FastaReader reader(reads_path, options.parse_policy);
       std::int64_t base_index = 0;
@@ -491,12 +443,11 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       for (;;) {
         util::ThreadCpuTimer read_cpu;
         const auto chunk = reader.read_chunk(options.max_mem_reads);
-        my_loop += read_cpu.seconds();
+        loop.seconds += read_cpu.seconds();
         if (chunk.empty()) break;
         const int dest = static_cast<int>(chunk_index % ctx.size());
         if (dest == 0) {
-          my_loop += run_chunk(chunk, base_index);
-          ++my_chunks;
+          process_chunk(chunk, base_index, assigner, options, threads, loop);
         } else {
           std::vector<std::string> wire;
           wire.reserve(chunk.size() + 1);
@@ -519,8 +470,7 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
         const std::int64_t base_index = std::stoll(wire.front());
         std::vector<seq::Sequence> chunk(wire.size() - 1);
         for (std::size_t i = 1; i < wire.size(); ++i) chunk[i - 1].bases = wire[i];
-        my_loop += run_chunk(chunk, base_index);
-        ++my_chunks;
+        process_chunk(chunk, base_index, assigner, options, threads, loop);
       }
     }
   }
@@ -529,11 +479,11 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // a collective ordered write (its MPI-I/O future work).
   double concat_seconds = 0.0;
   if (!output_dir.empty()) {
-    sort_by_read_index(my_assignments);
+    sort_by_read_index(loop.assignments);
     result.merged_output_path = output_dir + "/readsToComponents.out.tsv";
     if (options.output_mode == R2TOutputMode::kPerRankConcat) {
       const std::string my_path = rank_output_path(output_dir, ctx.rank());
-      detail::write_assignments(my_path, my_assignments);
+      detail::write_assignments(my_path, loop.assignments);
       ctx.barrier();
       if (ctx.rank() == 0) {
         std::vector<std::string> inputs;
@@ -552,7 +502,7 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       ctx.barrier();
       util::Timer wall;
       std::ostringstream body;
-      for (const auto& a : my_assignments) write_assignment_row(body, a);
+      for (const auto& a : loop.assignments) write_assignment_row(body, a);
       const std::string data = body.str();
       simpi::write_file_ordered(ctx, result.merged_output_path, data);
       concat_seconds = ctx.allreduce_max(wall.seconds());
@@ -560,15 +510,15 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   }
 
   // Pool assignments so every rank returns the full, sorted result.
-  const std::uint64_t my_assignment_bytes = my_assignments.size() * sizeof(ReadAssignment);
-  result.assignments = ctx.allgatherv(my_assignments);
+  const std::uint64_t my_assignment_bytes = loop.assignments.size() * sizeof(ReadAssignment);
+  result.assignments = ctx.allgatherv(loop.assignments);
   sort_by_read_index(result.assignments);
 
   // Pool equivalence-class counters the same way (variable-length TSV wire
   // over an Allgatherv, split by the per-rank counts): every rank ends up
   // with the identical global class table.
   if (assigner.index != nullptr) {
-    const std::string wire = my_eq.serialize();
+    const std::string wire = loop.eq.serialize();
     const std::vector<char> wire_bytes(wire.begin(), wire.end());
     std::vector<std::size_t> counts;
     const auto pooled = ctx.allgatherv(wire_bytes, &counts);
@@ -585,19 +535,20 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     }
   }
 
-  result.timing.setup_seconds = ctx.allreduce_max(my_setup);
+  result.timing.setup_seconds = ctx.allreduce_max(result.timing.setup_seconds);
   result.timing.index_build_seconds = ctx.allreduce_max(result.timing.index_build_seconds);
   result.timing.index_load_seconds = ctx.allreduce_max(result.timing.index_load_seconds);
-  result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{my_loop});
-  result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{my_chunks});
+  result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{loop.seconds});
+  result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{loop.chunks});
   result.timing.rank_reads =
       ctx.allgatherv(std::vector<std::uint64_t>{my_assignment_bytes / sizeof(ReadAssignment)});
   result.timing.assignment_bytes_contributed =
       ctx.allgatherv(std::vector<std::uint64_t>{my_assignment_bytes});
   result.timing.assignment_bytes_pooled =
       result.assignments.size() * sizeof(ReadAssignment);
-  result.timing.prefetch_hidden_seconds = ctx.allreduce_max(my_prefetch_hidden);
-  result.timing.prefetch_wait_seconds = ctx.allreduce_max(my_prefetch_wait);
+  result.timing.prefetch_hidden_seconds =
+      ctx.allreduce_max(result.timing.prefetch_hidden_seconds);
+  result.timing.prefetch_wait_seconds = ctx.allreduce_max(result.timing.prefetch_wait_seconds);
   result.timing.concat_seconds = concat_seconds;
   result.timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
   return result;

@@ -1,5 +1,6 @@
 #include "pipeline/config.hpp"
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -56,6 +57,62 @@ double parse_double_text(const std::string& text, const std::string& field) {
   } catch (const std::exception&) {
     throw ConfigError(field, "expected a number, got '" + text + "'");
   }
+}
+
+/// One spelling of an enumerated option value. Each option's table drives
+/// both the default --help shows and the parse, so the two cannot drift.
+template <typename E>
+struct Choice {
+  E value;
+  const char* spelling;
+};
+
+constexpr std::array<Choice<chrysalis::Distribution>, 3> kGffDistributions{{
+    {chrysalis::Distribution::kChunkedRoundRobin, "crr"},
+    {chrysalis::Distribution::kBlock, "block"},
+    {chrysalis::Distribution::kDynamic, "dynamic"},
+}};
+constexpr std::array<Choice<chrysalis::R2TStrategy>, 2> kR2TStrategies{{
+    {chrysalis::R2TStrategy::kRedundantStreaming, "redundant"},
+    {chrysalis::R2TStrategy::kMasterSlave, "master-slave"},
+}};
+constexpr std::array<Choice<chrysalis::R2TOutputMode>, 2> kR2TOutputs{{
+    {chrysalis::R2TOutputMode::kPerRankConcat, "concat"},
+    {chrysalis::R2TOutputMode::kCollective, "collective"},
+}};
+constexpr std::array<Choice<chrysalis::R2TMode>, 2> kR2TModes{{
+    {chrysalis::R2TMode::kVote, "vote"},
+    {chrysalis::R2TMode::kIndex, "index"},
+}};
+constexpr std::array<Choice<chrysalis::IndexLifecycle>, 3> kR2TIndexLifecycles{{
+    {chrysalis::IndexLifecycle::kBuild, "build"},
+    {chrysalis::IndexLifecycle::kLoad, "load"},
+    {chrysalis::IndexLifecycle::kAuto, "auto"},
+}};
+constexpr std::array<Choice<align::BowtieSplit>, 2> kBowtieSplits{{
+    {align::BowtieSplit::kTargets, "targets"},
+    {align::BowtieSplit::kReads, "reads"},
+}};
+
+template <typename E, std::size_t N>
+const char* spelling_of(const std::array<Choice<E>, N>& choices, E value) {
+  for (const auto& c : choices) {
+    if (c.value == value) return c.spelling;
+  }
+  throw std::logic_error("config: enum value has no spelling");
+}
+
+/// The value spelled `text`; a ConfigError listing every spelling otherwise.
+template <typename E, std::size_t N>
+E parse_choice(const std::array<Choice<E>, N>& choices, const std::string& field,
+               const std::string& text) {
+  std::string spellings;
+  for (const auto& c : choices) {
+    if (text == c.spelling) return c.value;
+    if (!spellings.empty()) spellings += ", ";
+    spellings += c.spelling;
+  }
+  throw ConfigError(field, "must be one of " + spellings + " (got '" + text + "')");
 }
 
 }  // namespace
@@ -141,34 +198,22 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_int("trace-sample-interval-ms", defaults.trace_sample_interval_ms,
            "RSS sampler period (0 disables)");
 
-  flag_string("gff-distribution",
-              defaults.gff_distribution == chrysalis::Distribution::kBlock    ? "block"
-              : defaults.gff_distribution == chrysalis::Distribution::kDynamic ? "dynamic"
-                                                                               : "crr",
+  flag_string("gff-distribution", spelling_of(kGffDistributions, defaults.gff_distribution),
               "GraphFromFasta contig distribution (crr, block, dynamic)");
   flag_string("gff-sharding", chrysalis::to_string(defaults.gff_sharding),
               "GraphFromFasta weld movement (pooled, overlap, owner); components "
               "are identical across all three");
   flag_bool("gff-hybrid-setup", defaults.gff_hybrid_setup,
             "cooperative GraphFromFasta setup (the paper's future work)");
-  flag_string("r2t-strategy",
-              defaults.r2t_strategy == chrysalis::R2TStrategy::kMasterSlave ? "master-slave"
-                                                                            : "redundant",
+  flag_string("r2t-strategy", spelling_of(kR2TStrategies, defaults.r2t_strategy),
               "ReadsToTranscripts chunk distribution (redundant, master-slave)");
-  flag_string("r2t-output",
-              defaults.r2t_output_mode == chrysalis::R2TOutputMode::kCollective ? "collective"
-                                                                                : "concat",
+  flag_string("r2t-output", spelling_of(kR2TOutputs, defaults.r2t_output_mode),
               "hybrid ReadsToTranscripts output merge (concat, collective)");
-  flag_string("r2t-mode",
-              defaults.r2t_mode == chrysalis::R2TMode::kIndex ? "index" : "vote",
+  flag_string("r2t-mode", spelling_of(kR2TModes, defaults.r2t_mode),
               "ReadsToTranscripts engine (vote, index); assignments are identical");
-  flag_string("r2t-index",
-              defaults.r2t_index == chrysalis::IndexLifecycle::kBuild  ? "build"
-              : defaults.r2t_index == chrysalis::IndexLifecycle::kLoad ? "load"
-                                                                       : "auto",
+  flag_string("r2t-index", spelling_of(kR2TIndexLifecycles, defaults.r2t_index),
               "transcript-index lifecycle under --r2t-mode index (build, load, auto)");
-  flag_string("bowtie-split",
-              defaults.bowtie_split == align::BowtieSplit::kReads ? "reads" : "targets",
+  flag_string("bowtie-split", spelling_of(kBowtieSplits, defaults.bowtie_split),
               "distributed Bowtie work split (targets, reads)");
   flag_int("min-node-support", defaults.butterfly_min_node_support,
            "Butterfly read-reconciliation threshold");
@@ -197,10 +242,7 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_double("hang-seconds", defaults.hang_seconds,
               "injected in-stage hang duration, cancellable via the "
               "preempt/deadline tokens");
-  flag_string("parse-policy",
-              defaults.parse_policy == seq::ParsePolicy::kTolerant ? "tolerant"
-              : defaults.parse_policy == seq::ParsePolicy::kRepair ? "repair"
-                                                                   : "strict",
+  flag_string("parse-policy", seq::to_string(defaults.parse_policy),
               "malformed-input handling (strict, tolerant, repair)");
   flag_bool("report", defaults.emit_report, "write <work-dir>/run_report.json");
   flag_string("report-path", defaults.report_path,
@@ -497,17 +539,11 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   options.trace_sample_interval_ms =
       static_cast<int>(int_at_least("trace-sample-interval-ms", 0));
 
-  const std::string dist = get_string("gff-distribution");
-  if (dist == "crr") {
-    options.gff_distribution = chrysalis::Distribution::kChunkedRoundRobin;
-  } else if (dist == "block") {
-    options.gff_distribution = chrysalis::Distribution::kBlock;
-  } else if (dist == "dynamic") {
-    options.gff_distribution = chrysalis::Distribution::kDynamic;
-  } else {
-    throw ConfigError("gff-distribution",
-                      "must be one of crr, block, dynamic (got '" + dist + "')");
-  }
+  const auto choice = [&](const auto& choices, const char* name) {
+    return parse_choice(choices, name, get_string(name));
+  };
+
+  options.gff_distribution = choice(kGffDistributions, "gff-distribution");
   options.gff_hybrid_setup = get_bool("gff-hybrid-setup");
 
   const std::string sharding = get_string("gff-sharding");
@@ -516,52 +552,11 @@ pipeline::PipelineOptions Config::pipeline_options() const {
                       "must be one of pooled, overlap, owner (got '" + sharding + "')");
   }
 
-  const std::string strategy = get_string("r2t-strategy");
-  if (strategy == "redundant") {
-    options.r2t_strategy = chrysalis::R2TStrategy::kRedundantStreaming;
-  } else if (strategy == "master-slave") {
-    options.r2t_strategy = chrysalis::R2TStrategy::kMasterSlave;
-  } else {
-    throw ConfigError("r2t-strategy",
-                      "must be one of redundant, master-slave (got '" + strategy + "')");
-  }
-  const std::string output = get_string("r2t-output");
-  if (output == "concat") {
-    options.r2t_output_mode = chrysalis::R2TOutputMode::kPerRankConcat;
-  } else if (output == "collective") {
-    options.r2t_output_mode = chrysalis::R2TOutputMode::kCollective;
-  } else {
-    throw ConfigError("r2t-output",
-                      "must be one of concat, collective (got '" + output + "')");
-  }
-  const std::string mode = get_string("r2t-mode");
-  if (mode == "vote") {
-    options.r2t_mode = chrysalis::R2TMode::kVote;
-  } else if (mode == "index") {
-    options.r2t_mode = chrysalis::R2TMode::kIndex;
-  } else {
-    throw ConfigError("r2t-mode", "must be one of vote, index (got '" + mode + "')");
-  }
-  const std::string lifecycle = get_string("r2t-index");
-  if (lifecycle == "build") {
-    options.r2t_index = chrysalis::IndexLifecycle::kBuild;
-  } else if (lifecycle == "load") {
-    options.r2t_index = chrysalis::IndexLifecycle::kLoad;
-  } else if (lifecycle == "auto") {
-    options.r2t_index = chrysalis::IndexLifecycle::kAuto;
-  } else {
-    throw ConfigError("r2t-index",
-                      "must be one of build, load, auto (got '" + lifecycle + "')");
-  }
-  const std::string split = get_string("bowtie-split");
-  if (split == "targets") {
-    options.bowtie_split = align::BowtieSplit::kTargets;
-  } else if (split == "reads") {
-    options.bowtie_split = align::BowtieSplit::kReads;
-  } else {
-    throw ConfigError("bowtie-split",
-                      "must be one of targets, reads (got '" + split + "')");
-  }
+  options.r2t_strategy = choice(kR2TStrategies, "r2t-strategy");
+  options.r2t_output_mode = choice(kR2TOutputs, "r2t-output");
+  options.r2t_mode = choice(kR2TModes, "r2t-mode");
+  options.r2t_index = choice(kR2TIndexLifecycles, "r2t-index");
+  options.bowtie_split = choice(kBowtieSplits, "bowtie-split");
   options.butterfly_min_node_support =
       static_cast<std::uint32_t>(int_at_least("min-node-support", 0));
   options.butterfly_require_paired_support = get_bool("require-paired-support");
@@ -582,13 +577,9 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   }
 
   const std::string policy = get_string("parse-policy");
-  if (policy == "strict") {
-    options.parse_policy = seq::ParsePolicy::kStrict;
-  } else if (policy == "tolerant") {
-    options.parse_policy = seq::ParsePolicy::kTolerant;
-  } else if (policy == "repair") {
-    options.parse_policy = seq::ParsePolicy::kRepair;
-  } else {
+  try {
+    options.parse_policy = seq::parse_policy_from_string(policy);
+  } catch (const std::invalid_argument&) {
     throw ConfigError("parse-policy",
                       "must be one of strict, tolerant, repair (got '" + policy + "')");
   }

@@ -1,47 +1,23 @@
 #pragma once
-// Nonblocking point-to-point (the MPI_Isend / MPI_Irecv / MPI_Wait subset)
-// and scatterv / alltoallv collectives.
+// Nonblocking collectives: IAllgatherv and IAlltoallv.
 //
-// The paper's master/slave ReadsToTranscripts prototype is a textbook
-// producer/consumer that real codes overlap with nonblocking sends; and
-// the weld pooling after loop 1 is an alltoallv in disguise when ranks
-// only need the welds matching their own contigs. These primitives round
-// out the simpi substrate so such variants can be written and compared.
+// GraphFromFasta's overlapped weld pooling starts the exchange, runs the
+// next local loop while the contributions are in flight, and only then
+// waits (`--gff-sharding overlap` pools with IAllgatherv, owner-computes
+// routes with IAlltoallv). The blocking collectives stay on Context.
 //
 // Simpi sends are buffered (the payload is copied into the destination
-// mailbox immediately), so an Isend completes at once; Irecv completion is
-// the interesting case and is implemented by polling the mailbox.
+// mailbox immediately), so construction posts every part at once and never
+// blocks; wait() drains the mailbox.
 
-#include <memory>
-#include <optional>
+#include <cstring>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "simpi/context.hpp"
 
 namespace trinity::simpi {
-
-/// Handle for a pending nonblocking receive (sends complete immediately in
-/// the buffered model, so only receives need a handle).
-class RecvRequest {
- public:
-  RecvRequest(Context& ctx, int source, int tag)
-      : ctx_(&ctx), source_(source), tag_(tag) {}
-
-  /// True when a matching message has arrived (does not consume it).
-  [[nodiscard]] bool test() const;
-
-  /// Blocks until the message arrives and returns it. May be called once.
-  Message wait();
-
- private:
-  Context* ctx_;
-  int source_;
-  int tag_;
-  bool done_ = false;
-};
-
-/// Posts a nonblocking receive for (source, tag).
-RecvRequest irecv(Context& ctx, int source, int tag);
 
 /// Nonblocking allgatherv: the communication/computation-overlap primitive
 /// the overlapped weld pooling uses. Construction *starts* the collective —
@@ -114,27 +90,9 @@ class IAlltoallv {
   bool done_ = false;
 };
 
-/// Scatterv: the root sends parts[r] to each rank r and returns parts[root]
-/// locally; every other rank returns its received part. `parts` is ignored
-/// at non-roots.
-template <typename T>
-std::vector<T> scatterv(Context& ctx, const std::vector<std::vector<T>>& parts, int root);
-
-/// Alltoallv: send_parts[r] goes to rank r; returns the size()-long vector
-/// of parts received, indexed by source rank. This is the library-extension
-/// variant (counted under kExtension, no fault point or dedicated trace
-/// span); application code should prefer the first-class
-/// Context::alltoallv, which has its own CommStats row, wait attribution,
-/// and fault-injection hook.
-template <typename T>
-std::vector<std::vector<T>> alltoallv(Context& ctx,
-                                      const std::vector<std::vector<T>>& send_parts);
-
 // --- template implementations ---------------------------------------------------
 
 namespace detail {
-inline constexpr int kTagScatter = -5;
-inline constexpr int kTagAlltoall = -6;
 /// Channel c of an in-flight IAllgatherv uses tag kTagIallgatherv - c, so
 /// the nonblocking channels extend the reserved negative range downward.
 inline constexpr int kTagIallgatherv = -7;
@@ -169,7 +127,9 @@ std::vector<T> IAllgatherv<T>::wait(double overlapped_seconds,
     const Message msg = ctx.internal_recv_as(CommOp::kAllgatherv, r, tag_);
     auto& slot = parts[static_cast<std::size_t>(r)];
     slot.resize(msg.payload.size() / sizeof(T));
-    std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
+    if (!msg.payload.empty()) {
+      std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
+    }
   }
   std::size_t total = 0;
   for (const auto& p : parts) total += p.size();
@@ -238,64 +198,6 @@ std::vector<std::vector<T>> IAlltoallv<T>::wait(double overlapped_seconds) {
   const double modeled =
       ctx.cost_model().collective_cost(ctx.size(), sent_bytes_ + recv_bytes);
   ctx.charge(modeled > overlapped_seconds ? modeled - overlapped_seconds : 0.0);
-  return received;
-}
-
-template <typename T>
-std::vector<T> scatterv(Context& ctx, const std::vector<std::vector<T>>& parts, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<T> mine;
-  std::size_t total_bytes = 0;
-  if (ctx.rank() == root) {
-    if (parts.size() != static_cast<std::size_t>(ctx.size())) {
-      throw std::invalid_argument("scatterv: need one part per rank at the root");
-    }
-    for (int r = 0; r < ctx.size(); ++r) {
-      const auto& part = parts[static_cast<std::size_t>(r)];
-      total_bytes += part.size() * sizeof(T);
-      if (r == root) {
-        mine = part;
-      } else {
-        ctx.internal_send(r, detail::kTagScatter, std::as_bytes(std::span<const T>(part)));
-      }
-    }
-  } else {
-    const Message msg = ctx.internal_recv(root, detail::kTagScatter);
-    mine.resize(msg.payload.size() / sizeof(T));
-    std::memcpy(mine.data(), msg.payload.data(), msg.payload.size());
-    total_bytes = msg.payload.size();
-  }
-  ctx.charge(ctx.cost_model().collective_cost(ctx.size(), total_bytes));
-  return mine;
-}
-
-template <typename T>
-std::vector<std::vector<T>> alltoallv(Context& ctx,
-                                      const std::vector<std::vector<T>>& send_parts) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (send_parts.size() != static_cast<std::size_t>(ctx.size())) {
-    throw std::invalid_argument("alltoallv: need one part per destination rank");
-  }
-  std::size_t sent_bytes = 0;
-  for (int r = 0; r < ctx.size(); ++r) {
-    const auto& part = send_parts[static_cast<std::size_t>(r)];
-    sent_bytes += part.size() * sizeof(T);
-    if (r == ctx.rank()) continue;
-    ctx.internal_send(r, detail::kTagAlltoall, std::as_bytes(std::span<const T>(part)));
-  }
-  std::vector<std::vector<T>> received(static_cast<std::size_t>(ctx.size()));
-  received[static_cast<std::size_t>(ctx.rank())] =
-      send_parts[static_cast<std::size_t>(ctx.rank())];
-  std::size_t recv_bytes = 0;
-  for (int r = 0; r < ctx.size(); ++r) {
-    if (r == ctx.rank()) continue;
-    const Message msg = ctx.internal_recv(r, detail::kTagAlltoall);
-    auto& slot = received[static_cast<std::size_t>(r)];
-    slot.resize(msg.payload.size() / sizeof(T));
-    std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
-    recv_bytes += msg.payload.size();
-  }
-  ctx.charge(ctx.cost_model().collective_cost(ctx.size(), sent_bytes + recv_bytes));
   return received;
 }
 

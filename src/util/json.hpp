@@ -1,13 +1,14 @@
 #pragma once
 // A minimal JSON document tree with a parser and a serializer.
 //
-// The observability layer writes a versioned machine-readable run report
-// (docs/OBSERVABILITY.md) and the trinity_report summarizer plus the tests
-// read it back; both sides need real JSON, not the manifest's line-oriented
-// subset. This is the smallest dependency-free implementation that closes
-// that loop: a value tree (null/bool/number/string/array/object), a strict
-// recursive-descent parser, and a deterministic serializer (object members
-// keep insertion order, so dump(parse(dump(x))) == dump(x)).
+// Every JSON document the project reads or writes goes through this one
+// codec: the versioned run report (docs/OBSERVABILITY.md), the Chrome
+// trace, the checkpoint manifest and the serve journal (one compact object
+// per line), and the config and job-spec files. It is the smallest
+// dependency-free implementation that serves them all: a value tree
+// (null/bool/number/string/array/object), a strict recursive-descent
+// parser, and a deterministic serializer (object members keep insertion
+// order, so dump(parse(dump(x))) == dump(x)).
 //
 // Numbers remember whether they were integral: counters (calls, bytes) are
 // 64-bit and must round-trip exactly, while timings are doubles. Integers

@@ -74,10 +74,4 @@ void ResourceTrace::counter(const std::string& name, double value) {
   open_record_.counters.push_back(PhaseCounter{name, value});
 }
 
-double ResourceTrace::total_wall_seconds() const {
-  double total = 0.0;
-  for (const auto& r : records_) total += r.wall_seconds;
-  return total;
-}
-
 }  // namespace trinity::util

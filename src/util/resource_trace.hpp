@@ -73,9 +73,6 @@ class ResourceTrace {
   /// All completed phases, in execution order.
   [[nodiscard]] const std::vector<PhaseRecord>& records() const { return records_; }
 
-  /// Total wall time covered by completed phases.
-  [[nodiscard]] double total_wall_seconds() const;
-
  private:
   void sampler_loop(int interval_ms);
 

@@ -154,35 +154,6 @@ TEST(SamTest, WriteContainsHeaderAndRecords) {
   EXPECT_NE(text.find("bad\t4\t*"), std::string::npos);               // unmapped flag
 }
 
-TEST(SamTest, MergeDropsPartHeaders) {
-  const TempDir dir("merge");
-  const auto contigs = make_contigs(1, 200, 900);
-  std::vector<SamRecord> recs(1);
-  recs[0].read_name = "r0";
-  recs[0].target_id = 0;
-  recs[0].target_name = "contig0";
-  recs[0].read_length = 50;
-  write_sam(dir.file("a.sam"), recs, contigs);
-  recs[0].read_name = "r1";
-  write_sam(dir.file("b.sam"), recs, contigs);
-
-  merge_sam_files({dir.file("a.sam"), dir.file("b.sam")}, dir.file("m.sam"), contigs);
-  std::ifstream in(dir.file("m.sam"));
-  std::string line;
-  int headers = 0;
-  int records = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '@') {
-      ++headers;
-    } else {
-      ++records;
-    }
-  }
-  EXPECT_EQ(headers, 2);  // @HD + one @SQ, once
-  EXPECT_EQ(records, 2);
-}
-
 TEST(SamIoTest, RoundTripsThroughWriteSam) {
   const TempDir dir("samio");
   const auto contigs = make_contigs(3, 400, 50);

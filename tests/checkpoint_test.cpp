@@ -98,6 +98,44 @@ TEST(ManifestJson, TraceFieldIsOptionalAndRoundTrips) {
   EXPECT_TRUE(bare->trace.empty());
 }
 
+TEST(ManifestJson, ParsesLinesFromTheHandWrittenCodec) {
+  // Literal lines from the manifest's earlier hand-written writer, which
+  // formatted doubles through an ostream (`1e-05`, `123457`, `2.5e-07`):
+  // a work dir checkpointed by it must still resume.
+  const auto plain = parse_json_line(
+      R"({"stage":"jellyfish","fingerprint":"00000000000000ab","complete":true,)"
+      R"("attempt":1,"wall_seconds":1e-05,"checkpoint_seconds":123457,)"
+      R"("inputs":[{"path":"reads.fa","bytes":1048576,"hash":"0123456789abcdef"}],)"
+      R"("outputs":[{"path":"kmers.bin","bytes":0,"hash":"fffffffffffffffe"}]})");
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->stage, "jellyfish");
+  EXPECT_EQ(plain->fingerprint, 0xabULL);
+  EXPECT_TRUE(plain->complete);
+  EXPECT_EQ(plain->attempt, 1);
+  EXPECT_DOUBLE_EQ(plain->wall_seconds, 1e-05);
+  EXPECT_DOUBLE_EQ(plain->checkpoint_seconds, 123457.0);
+  EXPECT_TRUE(plain->trace.empty());
+  EXPECT_EQ(plain->inputs,
+            (std::vector<ArtifactRecord>{{"reads.fa", 1048576, 0x0123456789abcdefULL}}));
+  EXPECT_EQ(plain->outputs,
+            (std::vector<ArtifactRecord>{{"kmers.bin", 0, 0xfffffffffffffffeULL}}));
+
+  const auto traced = parse_json_line(
+      R"({"stage":"chrysalis.reads_to_transcripts","fingerprint":"deadbeefcafef00d",)"
+      R"("complete":false,"attempt":3,"wall_seconds":0,"checkpoint_seconds":2.5e-07,)"
+      R"("trace":"run_report.json","inputs":[],"outputs":[]})");
+  ASSERT_TRUE(traced.has_value());
+  EXPECT_EQ(traced->stage, "chrysalis.reads_to_transcripts");
+  EXPECT_EQ(traced->fingerprint, 0xdeadbeefcafef00dULL);
+  EXPECT_FALSE(traced->complete);
+  EXPECT_EQ(traced->attempt, 3);
+  EXPECT_DOUBLE_EQ(traced->wall_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(traced->checkpoint_seconds, 2.5e-07);
+  EXPECT_EQ(traced->trace, "run_report.json");
+  EXPECT_TRUE(traced->inputs.empty());
+  EXPECT_TRUE(traced->outputs.empty());
+}
+
 TEST(ManifestJson, RejectsMalformedLines) {
   const std::string good = to_json_line(sample_record());
   // Truncations at every prefix length must fail, never crash.

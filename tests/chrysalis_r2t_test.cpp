@@ -129,15 +129,30 @@ TEST(R2TShared, ChunkSizeDoesNotChangeResult) {
   Fixture f = build_fixture(3, 9, 17);
   seq::write_fasta(dir.file("reads.fa"), f.reads);
 
-  const auto a = run_shared(f.contigs, f.components, dir.file("reads.fa"), test_options(1));
-  const auto b = run_shared(f.contigs, f.components, dir.file("reads.fa"), test_options(1000));
-  ASSERT_EQ(a.assignments.size(), b.assignments.size());
-  for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].component, b.assignments[i].component);
-    EXPECT_EQ(a.assignments[i].shared_kmers, b.assignments[i].shared_kmers);
+  const auto reference =
+      run_shared(f.contigs, f.components, dir.file("reads.fa"), test_options(1000));
+  // Both chunk sources: the double-buffered prefetch and the inline parse.
+  for (const bool overlap_io : {true, false}) {
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{1000}}) {
+      auto options = test_options(chunk);
+      options.overlap_io = overlap_io;
+      const auto run = run_shared(f.contigs, f.components, dir.file("reads.fa"), options);
+      ASSERT_EQ(run.assignments.size(), reference.assignments.size());
+      for (std::size_t i = 0; i < run.assignments.size(); ++i) {
+        EXPECT_EQ(run.assignments[i].component, reference.assignments[i].component);
+        EXPECT_EQ(run.assignments[i].shared_kmers, reference.assignments[i].shared_kmers);
+      }
+      if (!overlap_io) {
+        // The inline parse is charged to the loop, never to the prefetch rows.
+        EXPECT_EQ(run.timing.prefetch_hidden_seconds, 0.0);
+        EXPECT_EQ(run.timing.prefetch_wait_seconds, 0.0);
+      }
+    }
   }
 }
 
+// gtest names these cases by their bytes, so HybridCase stays two ints;
+// each case covers both chunk sources (overlap_io on and off) in its body.
 struct HybridCase {
   int nranks;
   R2TStrategy strategy;
@@ -156,17 +171,25 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
       run_shared(f.contigs, f.components, dir.file("reads.fa"), options);
   options.strategy = strategy;
 
-  simpi::run(nranks, [&](simpi::Context& ctx) {
-    const auto result =
-        run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, dir.str());
-    ASSERT_EQ(result.assignments.size(), expected.assignments.size());
-    for (std::size_t i = 0; i < expected.assignments.size(); ++i) {
-      EXPECT_EQ(result.assignments[i].read_index, expected.assignments[i].read_index);
-      EXPECT_EQ(result.assignments[i].component, expected.assignments[i].component);
-      EXPECT_EQ(result.assignments[i].shared_kmers, expected.assignments[i].shared_kmers);
-    }
-    EXPECT_EQ(result.timing.main_loop.seconds.size(), static_cast<std::size_t>(nranks));
-  });
+  for (const bool overlap_io : {true, false}) {
+    options.overlap_io = overlap_io;
+    simpi::run(nranks, [&](simpi::Context& ctx) {
+      const auto result =
+          run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, dir.str());
+      ASSERT_EQ(result.assignments.size(), expected.assignments.size());
+      for (std::size_t i = 0; i < expected.assignments.size(); ++i) {
+        EXPECT_EQ(result.assignments[i].read_index, expected.assignments[i].read_index);
+        EXPECT_EQ(result.assignments[i].component, expected.assignments[i].component);
+        EXPECT_EQ(result.assignments[i].shared_kmers, expected.assignments[i].shared_kmers);
+      }
+      EXPECT_EQ(result.timing.main_loop.seconds.size(), static_cast<std::size_t>(nranks));
+      if (!overlap_io || strategy == R2TStrategy::kMasterSlave) {
+        // Only the double-buffered chunk source charges the prefetch rows.
+        EXPECT_EQ(result.timing.prefetch_hidden_seconds, 0.0);
+        EXPECT_EQ(result.timing.prefetch_wait_seconds, 0.0);
+      }
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

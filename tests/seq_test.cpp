@@ -48,18 +48,6 @@ TEST(DnaTest, ReverseComplementIsInvolution) {
   }
 }
 
-TEST(DnaTest, IsAcgtDetectsContamination) {
-  EXPECT_TRUE(is_acgt("ACGTacgt"));
-  EXPECT_FALSE(is_acgt("ACGNT"));
-  EXPECT_TRUE(is_acgt(""));
-}
-
-TEST(DnaTest, NormalizeUppercasesAndMasks) {
-  std::string s = "acgtNx";
-  normalize_sequence(s);
-  EXPECT_EQ(s, "ACGTNN");
-}
-
 // --- kmer codec, parameterized over k --------------------------------------------------
 
 class KmerCodecTest : public ::testing::TestWithParam<int> {};

@@ -44,7 +44,9 @@ TEST(TranscriptomeTest, IsoformsAreSubsequencesOfExonChain) {
     const std::string& full = t.transcripts[gene.isoform_ids[0]].bases;
     for (const auto iso : gene.isoform_ids) {
       EXPECT_LE(t.transcripts[iso].bases.size(), full.size());
-      EXPECT_TRUE(seq::is_acgt(t.transcripts[iso].bases));
+      for (const char c : t.transcripts[iso].bases) {
+        EXPECT_NE(seq::base_to_code(c), seq::kInvalidBase) << c;
+      }
     }
   }
 }

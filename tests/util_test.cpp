@@ -224,7 +224,6 @@ TEST(ResourceTraceTest, RecordsPhasesInOrder) {
   EXPECT_EQ(trace.records()[0].name, "alpha");
   EXPECT_EQ(trace.records()[1].name, "beta");
   EXPECT_GE(trace.records()[1].wall_seconds, 0.004);
-  EXPECT_GE(trace.total_wall_seconds(), trace.records()[1].wall_seconds);
 }
 
 TEST(ResourceTraceTest, NestedPhaseThrows) {
