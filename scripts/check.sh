@@ -59,17 +59,20 @@
 #      payload by at least --min-bytes-reduction at >= 4 ranks, recording
 #      the run in BENCH_gff_shard.json.
 #  11. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
-#      simpi, trace, config, flat-index and serve test binaries — the
-#      subsystems that throw across thread and collective boundaries (and,
-#      for the trace recorder, publish buffers across threads; for the flat
-#      index, raw-storage placement news; for the transcript index, mmap'd
-#      read-only images shared across jobs; for the serve layer, preempt
-#      and deadline tokens, the journal, and rank leases across
-#      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
-#      atomic instruments hammered by every serve thread while the
-#      exporter thread snapshots them; for the fault matrix, the buffered
-#      stage-output writers unwinding mid-stream on injected faults),
-#      where sanitizers earn their keep.
+#      simpi, trace, config, flat-index, k-mer table and serve test
+#      binaries — the subsystems that throw across thread and collective
+#      boundaries (and, for the trace recorder, publish buffers across
+#      threads; for the flat index, raw-storage placement news; for the
+#      transcript index, mmap'd read-only images shared across jobs; for the
+#      serve layer, preempt and deadline tokens, the journal, and rank
+#      leases across scheduler/watchdog/worker threads; for the metrics
+#      layer, relaxed-atomic instruments hammered by every serve thread
+#      while the exporter thread snapshots them; for the fault matrix, the
+#      buffered stage-output writers unwinding mid-stream on injected
+#      faults; for the k-mer tables, the partition-then-count counter's
+#      OpenMP buffers and the Inchworm, Bowtie seed, de Bruijn and
+#      weld-support lookups on FlatKmerIndex), where sanitizers earn their
+#      keep.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -eu
@@ -279,19 +282,21 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate + fault-matrix tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate + fault-matrix + k-mer table tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
     config_test flat_index_test transcript_index_test serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-    sw_test validate_test io_fault_matrix_test
+    sw_test validate_test io_fault_matrix_test \
+    kmer_test inchworm_test debruijn_test align_test chrysalis_gff_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test transcript_index_test serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-         sw_test validate_test io_fault_matrix_test; do
+         sw_test validate_test io_fault_matrix_test \
+         kmer_test inchworm_test debruijn_test align_test chrysalis_gff_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

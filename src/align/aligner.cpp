@@ -12,7 +12,7 @@
 namespace trinity::align {
 
 ContigIndex::ContigIndex(std::vector<seq::Sequence> contigs, const AlignerOptions& options)
-    : contigs_(std::move(contigs)), options_(options) {
+    : contigs_(std::move(contigs)), options_(options), seeds_(seq::total_bases(contigs_)) {
   const seq::KmerCodec codec(options_.seed_length);
   for (std::size_t c = 0; c < contigs_.size(); ++c) {
     for (const auto& occ : codec.extract(contigs_[c].bases)) {
@@ -22,15 +22,14 @@ ContigIndex::ContigIndex(std::vector<seq::Sequence> contigs, const AlignerOption
   }
   // Suppress hyper-repetitive seeds: they explode verification cost without
   // adding placements Bowtie would report uniquely anyway.
-  for (auto& [code, hits] : seeds_) {
+  for (auto&& [code, hits] : seeds_) {
     if (hits.size() > options_.max_hits_per_seed) hits.clear();
   }
 }
 
 const std::vector<ContigIndex::SeedHit>* ContigIndex::lookup(seq::KmerCode code) const {
-  const auto it = seeds_.find(code);
-  if (it == seeds_.end() || it->second.empty()) return nullptr;
-  return &it->second;
+  const auto* hits = seeds_.lookup(code);
+  return hits == nullptr || hits->empty() ? nullptr : hits;
 }
 
 namespace {

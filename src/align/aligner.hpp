@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -73,7 +73,7 @@ class ContigIndex {
  private:
   std::vector<seq::Sequence> contigs_;
   AlignerOptions options_;
-  std::unordered_map<seq::KmerCode, std::vector<SeedHit>> seeds_;
+  kmer::FlatKmerIndex<std::vector<SeedHit>> seeds_;
 };
 
 /// The aligner proper.

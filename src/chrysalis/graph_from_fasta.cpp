@@ -65,9 +65,8 @@ namespace {
 // Accumulates one contig's distinct canonical (k-1)-mers into the index.
 void accumulate_contig(const seq::Sequence& contig, const seq::KmerCodec& codec,
                        kmer::FlatKmerIndex<std::uint32_t>& multiplicity) {
-  std::unordered_set<seq::KmerCode> seen_in_contig;
-  for (const auto& occ : codec.extract_canonical(contig.bases)) {
-    if (seen_in_contig.insert(occ.code).second) ++multiplicity[occ.code];
+  for (const seq::KmerCode code : codec.distinct_canonical_codes(contig.bases)) {
+    ++multiplicity[code];
   }
 }
 }  // namespace
@@ -164,11 +163,8 @@ WeldCoreIndex index_weld_cores(const std::vector<std::string>& welds, int k) {
   for (const auto& weld : welds) bases += weld.size();
   index.reserve(bases);
   for (std::size_t w = 0; w < welds.size(); ++w) {
-    std::unordered_set<seq::KmerCode> seen;
-    for (const auto& occ : codec.extract_canonical(welds[w])) {
-      if (seen.insert(occ.code).second) {
-        index[occ.code].push_back(static_cast<std::int32_t>(w));
-      }
+    for (const seq::KmerCode code : codec.distinct_canonical_codes(welds[w])) {
+      index[code].push_back(static_cast<std::int32_t>(w));
     }
   }
   return index;
@@ -179,11 +175,7 @@ void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
   const seq::KmerCodec codec(options.k - 1);
   if (contig.bases.size() < static_cast<std::size_t>(options.k - 1)) return;
-  std::vector<seq::KmerCode> codes;
-  const auto occurrences = codec.extract_canonical(contig.bases);
-  codes.reserve(occurrences.size());
-  for (const auto& occ : occurrences) codes.push_back(occ.code);
-  find_weld_matches(codes, contig_id, weld_cores, out);
+  find_weld_matches(codec.canonical_codes(contig.bases), contig_id, weld_cores, out);
 }
 
 void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
@@ -535,10 +527,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     contig_codes.resize(contigs.size());
     for (const auto& range : ranges) {
       for (std::size_t i = range.begin; i < range.end; ++i) {
-        const auto occurrences = codec.extract_canonical(contigs[i].bases);
-        auto& codes = contig_codes[i];
-        codes.reserve(occurrences.size());
-        for (const auto& occ : occurrences) codes.push_back(occ.code);
+        contig_codes[i] = codec.canonical_codes(contigs[i].bases);
       }
     }
     return cpu.seconds() /

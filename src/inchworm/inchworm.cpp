@@ -4,14 +4,14 @@
 #include <stdexcept>
 
 #include "seq/dna.hpp"
+#include "util/hash.hpp"
 
 namespace trinity::inchworm {
 
 Inchworm::Inchworm(InchwormOptions options) : options_(options), codec_(options.k) {}
 
 void Inchworm::load_counts(const std::vector<kmer::KmerCount>& counts) {
-  dict_.clear();
-  dict_.reserve(counts.size());
+  dict_ = kmer::FlatKmerIndex<Entry>(counts.size());
   for (const auto& kc : counts) {
     if (kc.count < options_.min_kmer_count) continue;  // error prune
     dict_[kc.code].count += kc.count;
@@ -19,9 +19,8 @@ void Inchworm::load_counts(const std::vector<kmer::KmerCount>& counts) {
 }
 
 std::uint32_t Inchworm::available_count(seq::KmerCode literal) const {
-  const auto it = dict_.find(codec_.canonical(literal));
-  if (it == dict_.end() || it->second.used) return 0;
-  return it->second.count;
+  const Entry* entry = dict_.lookup(codec_.canonical(literal));
+  return entry == nullptr || entry->used ? 0 : entry->count;
 }
 
 void Inchworm::mark_used(seq::KmerCode literal) {
@@ -30,13 +29,12 @@ void Inchworm::mark_used(seq::KmerCode literal) {
 }
 
 namespace {
-// splitmix64-style mix used for salted tie-breaking; salt 0 never reaches
-// this path.
-std::uint64_t mix_tie(seq::KmerCode code, std::uint64_t salt) {
-  std::uint64_t z = code ^ (salt * 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+// Tie-break key among equally abundant k-mers: the code itself for salt 0,
+// otherwise a splitmix64 mix of (code, salt). The mix is a bijection, so the
+// order stays total; a different salt permutes it, modeling Trinity's
+// run-to-run nondeterminism.
+std::uint64_t tie_key(seq::KmerCode code, std::uint64_t salt) {
+  return salt == 0 ? code : util::splitmix64_finalize(code ^ (salt * util::kGoldenGamma));
 }
 }  // namespace
 
@@ -58,7 +56,7 @@ void Inchworm::extend_right(std::string& contig) {
       const bool wins =
           c > best_count ||
           (c == best_count && c > 0 && salt != 0 &&
-           mix_tie(candidate, salt) < mix_tie(best_code, salt));
+           tie_key(candidate, salt) < tie_key(best_code, salt));
       if (wins) {
         best_count = c;
         best_base = b;
@@ -81,19 +79,9 @@ std::vector<seq::Sequence> Inchworm::assemble() {
   seeds.reserve(dict_.size());
   for (const auto& [code, entry] : dict_) seeds.emplace_back(code, entry.count);
   const std::uint64_t salt = options_.tie_break_seed;
-  auto tie_key = [salt](seq::KmerCode code) {
-    if (salt == 0) return static_cast<std::uint64_t>(code);
-    // splitmix64-style mix of (code, salt): a different salt permutes the
-    // order of equally abundant seeds, modeling Trinity's run-to-run
-    // nondeterminism.
-    std::uint64_t z = code ^ (salt * 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  std::sort(seeds.begin(), seeds.end(), [&](const auto& a, const auto& b) {
+  std::sort(seeds.begin(), seeds.end(), [salt](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
-    return tie_key(a.first) < tie_key(b.first);
+    return tie_key(a.first, salt) < tie_key(b.first, salt);
   });
 
   std::vector<seq::Sequence> contigs;

@@ -1,77 +1,74 @@
 #include "kmer/counter.hpp"
 
+#include "io/error.hpp"
 #include "io/io_file.hpp"
 
 #include <omp.h>
 
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 namespace trinity::kmer {
 
-namespace {
-bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
-}  // namespace
-
-KmerCounter::KmerCounter(CounterOptions options)
-    : options_(options), codec_(options.k) {
-  if (!is_power_of_two(options_.num_shards)) {
-    throw std::invalid_argument("KmerCounter: num_shards must be a power of two");
-  }
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(options_.num_shards));
-  shard_mask_ = static_cast<std::size_t>(options_.num_shards) - 1;
-}
-
-void KmerCounter::add_sequence(const seq::Sequence& s) {
-  const auto occurrences =
-      options_.canonical ? codec_.extract_canonical(s.bases) : codec_.extract(s.bases);
-  for (const auto& occ : occurrences) {
-    Shard& shard = shard_for(occ.code);
-    std::scoped_lock lock(shard.mu);
-    ++shard.map[occ.code];
-  }
-}
+KmerCounter::KmerCounter(CounterOptions options) : options_(options), codec_(options.k) {}
 
 void KmerCounter::add_counts(const std::vector<KmerCount>& counts) {
-  for (const auto& kc : counts) {
-    Shard& shard = shard_for(kc.code);
-    std::scoped_lock lock(shard.mu);
-    shard.map[kc.code] += kc.count;
-  }
+  for (const auto& kc : counts) partitions_[partition_of(kc.code)][kc.code] += kc.count;
 }
 
 void KmerCounter::add_sequences(const std::vector<seq::Sequence>& seqs) {
-  const int requested = options_.num_threads;
-  const auto n = static_cast<std::int64_t>(seqs.size());
-#pragma omp parallel for schedule(dynamic, 64) num_threads(requested > 0 ? requested \
-                                                                         : omp_get_max_threads())
-  for (std::int64_t i = 0; i < n; ++i) {
-    add_sequence(seqs[static_cast<std::size_t>(i)]);
+  const int threads = options_.num_threads > 0 ? options_.num_threads : omp_get_max_threads();
+  // buffers[t][p]: the codes thread t extracted for partition p this batch.
+  std::vector<std::array<std::vector<seq::KmerCode>, kPartitions>> buffers(
+      static_cast<std::size_t>(threads));
+  for (std::size_t begin = 0, end = 0; begin < seqs.size(); begin = end) {
+    for (std::size_t bases = 0; end < seqs.size() &&
+                                (end == begin || bases + seqs[end].bases.size() <= kBatchBases);
+         ++end) {
+      bases += seqs[end].bases.size();
+    }
+#pragma omp parallel num_threads(threads)
+    {
+      // Static scheduling hands each thread one contiguous block, in thread
+      // order, so buffers read in thread order are in read order.
+      auto& mine = buffers[static_cast<std::size_t>(omp_get_thread_num())];
+#pragma omp for schedule(static)
+      for (std::size_t i = begin; i < end; ++i) {
+        for (const auto& occ : codec_.extract(seqs[i].bases)) {
+          const seq::KmerCode code = options_.canonical ? codec_.canonical(occ.code) : occ.code;
+          mine[partition_of(code)].push_back(code);
+        }
+      }
+      // The implicit barrier above ends extraction; each partition now has
+      // one owner, so counting takes no lock.
+#pragma omp for schedule(dynamic, 1)
+      for (std::size_t p = 0; p < kPartitions; ++p) {
+        for (auto& buffer : buffers) {
+          for (const seq::KmerCode code : buffer[p]) ++partitions_[p][code];
+          buffer[p].clear();
+        }
+      }
+    }
   }
 }
 
 std::uint32_t KmerCounter::count_of(seq::KmerCode code) const {
   const seq::KmerCode key = options_.canonical ? codec_.canonical(code) : code;
-  // Unlocked read; see the header contract (no concurrent inserts).
-  const Shard& shard = shard_for(key);
-  const auto it = shard.map.find(key);
-  return it == shard.map.end() ? 0u : it->second;
+  const std::uint32_t* count = partitions_[partition_of(key)].lookup(key);
+  return count == nullptr ? 0u : *count;
 }
 
 std::size_t KmerCounter::distinct() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    total += shard.map.size();
-  }
+  for (const auto& partition : partitions_) total += partition.size();
   return total;
 }
 
 std::uint64_t KmerCounter::total() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [code, count] : shard.map) total += count;
+  for (const auto& partition : partitions_) {
+    for (const auto& [code, count] : partition) total += count;
   }
   return total;
 }
@@ -79,9 +76,8 @@ std::uint64_t KmerCounter::total() const {
 std::vector<KmerCount> KmerCounter::dump(std::uint32_t min_count) const {
   std::vector<KmerCount> out;
   out.reserve(distinct());
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [code, count] : shard.map) {
+  for (const auto& partition : partitions_) {
+    for (const auto& [code, count] : partition) {
       if (count >= min_count) out.push_back({code, count});
     }
   }
@@ -112,6 +108,15 @@ std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k)
   if (!in) throw std::runtime_error("read_dump_binary: truncated header in '" + path + "'");
   if (static_cast<int>(k32) != expected_k) {
     throw std::runtime_error("read_dump_binary: k mismatch in '" + path + "'");
+  }
+  // Check the claimed record count against the file before allocating for it.
+  constexpr std::uint64_t kHeaderBytes = sizeof(k32) + sizeof(n);
+  const std::uint64_t records_held =
+      (std::filesystem::file_size(path) - kHeaderBytes) / (sizeof(seq::KmerCode) + 4);
+  if (n > records_held) {
+    throw io::ParseError(io::ParseCategory::kTruncatedRecord, path, 1, kHeaderBytes,
+                         "header claims " + std::to_string(n) + " records, file holds " +
+                             std::to_string(records_held));
   }
   std::vector<KmerCount> out(n);
   for (auto& kc : out) {

@@ -3,18 +3,19 @@
 //
 // In the Trinity workflow, `jellyfish count` + `jellyfish dump` produce the
 // k-mer/count stream that Inchworm consumes. This module reproduces that
-// role: an OpenMP-parallel counter over a lock-striped hash table
-// (Jellyfish's own claim to fame is a lock-free hash; striping exercises
-// the same concurrent-insert path at our scale), plus text and binary dump
-// formats and a loader. Counts are over canonical k-mers by default, with
-// a non-canonical mode used by stages that are strand-aware.
+// role with partition-then-count, HipMer's owner-computes k-mer analysis:
+// OpenMP threads extract contiguous read blocks into per-thread buffers, one
+// per hash partition, then one thread per partition counts lock-free into
+// its FlatKmerIndex, in read order — so dump() order and the binary dump's
+// bytes do not depend on the thread count. Counts are over canonical k-mers
+// by default, with a non-canonical mode used by stages that are strand-aware.
 
+#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -30,21 +31,21 @@ struct KmerCount {
 struct CounterOptions {
   int k = 25;                 ///< Trinity's default k-mer size
   bool canonical = true;      ///< count strand-neutral (min of kmer, revcomp)
-  int num_shards = 64;        ///< lock stripes; must be a power of two
   int num_threads = 0;        ///< 0 = OpenMP default
 };
 
 /// Parallel k-mer counter.
 class KmerCounter {
  public:
+  /// add_sequences buffers the k-mers of at most this many bases per batch
+  /// (4 MB of codes) unless one read is longer, whatever the input size.
+  static constexpr std::size_t kBatchBases = std::size_t{1} << 19;
+
   explicit KmerCounter(CounterOptions options);
 
-  /// Adds every k-mer of every sequence. Thread-safe via shard locks;
-  /// callable repeatedly (counts accumulate).
+  /// Adds every k-mer of every sequence, OpenMP-parallel inside; callable
+  /// repeatedly (counts accumulate). Not to be called concurrently.
   void add_sequences(const std::vector<seq::Sequence>& seqs);
-
-  /// Adds every k-mer of one sequence (single-threaded helper).
-  void add_sequence(const seq::Sequence& s);
 
   /// Merges pre-counted (k-mer, count) records — rebuilding a counter from
   /// a dump file, e.g. when a checkpointed pipeline resumes past its
@@ -55,11 +56,10 @@ class KmerCounter {
   /// Count of a specific k-mer (canonicalized when the counter is
   /// canonical); 0 when absent.
   ///
-  /// Lock-free: safe to call concurrently with other lookups, but NOT
-  /// concurrently with add_sequence(s). The pipeline's phases respect this
-  /// (counting completes before Chrysalis starts querying); a locked
-  /// lookup here would otherwise serialize the weld-support checks, which
-  /// issue tens of lookups per candidate across every rank.
+  /// A flat probe: safe to call concurrently with other lookups, but NOT
+  /// concurrently with add_sequences/add_counts. The pipeline's phases
+  /// respect this (counting completes before Chrysalis starts querying the
+  /// weld supports).
   [[nodiscard]] std::uint32_t count_of(seq::KmerCode code) const;
 
   /// Number of distinct k-mers seen.
@@ -68,37 +68,33 @@ class KmerCounter {
   /// Sum of all counts (total k-mer occurrences).
   [[nodiscard]] std::uint64_t total() const;
 
-  /// Extracts all (k-mer, count) pairs with count >= min_count, in
-  /// unspecified order.
+  /// Extracts all (k-mer, count) pairs with count >= min_count, in table
+  /// order: a function of the counted sequences alone.
   [[nodiscard]] std::vector<KmerCount> dump(std::uint32_t min_count = 1) const;
 
   [[nodiscard]] const CounterOptions& options() const { return options_; }
-  [[nodiscard]] const seq::KmerCodec& codec() const { return codec_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<seq::KmerCode, std::uint32_t> map;
-  };
+  /// Partitions are picked by the top bits of mix_kmer_code; the table
+  /// inside a partition picks its slot from the low bits of the same mix.
+  static constexpr int kPartitionBits = 6;
+  static constexpr std::size_t kPartitions = std::size_t{1} << kPartitionBits;
 
-  Shard& shard_for(seq::KmerCode code) {
-    return shards_[static_cast<std::size_t>(code) & shard_mask_];
-  }
-  const Shard& shard_for(seq::KmerCode code) const {
-    return shards_[static_cast<std::size_t>(code) & shard_mask_];
+  static std::size_t partition_of(seq::KmerCode code) {
+    return static_cast<std::size_t>(mix_kmer_code(code) >> (64 - kPartitionBits));
   }
 
   CounterOptions options_;
   seq::KmerCodec codec_;
-  std::vector<Shard> shards_;
-  std::size_t shard_mask_;
+  std::array<FlatKmerIndex<std::uint32_t>, kPartitions> partitions_;
 };
 
 /// Binary dump: u32 k, u64 record count, then (u64 code, u32 count) pairs.
 void write_dump_binary(const std::string& path, const std::vector<KmerCount>& counts, int k);
 
-/// Reads the binary dump; throws std::runtime_error on a k mismatch or a
-/// truncated file.
+/// Reads the binary dump; throws std::runtime_error on a k mismatch, and
+/// io::ParseError (kTruncatedRecord) when the file holds fewer records than
+/// its header claims.
 std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k);
 
 }  // namespace trinity::kmer

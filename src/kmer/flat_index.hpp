@@ -1,13 +1,12 @@
 #pragma once
-// FlatKmerIndex: the hot-path replacement for std::unordered_map<KmerCode, V>.
+// FlatKmerIndex: the one k-mer-keyed hash table in the tree.
 //
-// The Chrysalis kernels the paper measures (GraphFromFasta loops 1-2 and the
-// ReadsToTranscripts assignment loop) are dominated by k-mer lookups: one
-// multiplicity probe per contig (k-1)-mer in the weld harvest and one
-// bundle-map probe per read k-mer in assign_read. A node-based unordered_map
-// pays a pointer chase plus an allocation per insert on exactly those paths.
-// Extreme-scale assemblers (Georganas et al.; Guidi et al.) replace it with a
-// flat open-addressing table, which is what this header provides:
+// It backs the counter's partitions, Inchworm's dictionary, the Bowtie seed
+// index, de Bruijn node ids and the Chrysalis kernels the paper measures.
+// A node-based unordered_map pays a pointer chase plus an allocation per
+// insert on exactly those paths. Extreme-scale assemblers (Georganas et al.;
+// Guidi et al.) replace it with a flat open-addressing table, which is what
+// this header provides:
 //
 //  * keys are the 2-bit-packed KmerCodes the KmerCodec's rolling encoder
 //    already produces — no re-hashing of base strings, just a 64-bit mix
@@ -19,9 +18,9 @@
 //    loop never rehashes.
 //
 // The iterator surface is deliberately unordered_map-shaped (find()/end(),
-// ->first/->second, range-for with structured bindings) so the Chrysalis
-// call sites and their tests read identically against either container —
-// flat_index_test pins exact parity on random corpora.
+// ->first/->second, range-for with structured bindings); flat_index_test pins
+// exact parity with it on random corpora. Iteration order is a function of
+// the sequence of inserts alone.
 //
 // Not thread-safe for writes; concurrent read-only lookups are safe, the
 // same contract KmerCounter::count_of documents.
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "seq/kmer.hpp"
+#include "util/hash.hpp"
 
 namespace trinity::kmer {
 
@@ -40,11 +40,9 @@ namespace trinity::kmer {
 /// codes are extremely regular in their low bits (2-bit bases), so the
 /// identity hash a std::unordered_map would often get away with clusters
 /// badly under linear probing; full-width mixing keeps probe chains short.
+/// Slots take the low bits; KmerCounter partitions by the high bits.
 [[nodiscard]] inline std::uint64_t mix_kmer_code(seq::KmerCode code) {
-  std::uint64_t x = code + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return util::splitmix64_finalize(code + util::kGoldenGamma);
 }
 
 /// Open-addressing k-mer -> V table with linear probing. V must be cheap to

@@ -73,6 +73,12 @@ class KmerCodec {
   /// As extract(), but each code is canonicalized.
   [[nodiscard]] std::vector<Occurrence> extract_canonical(std::string_view s) const;
 
+  /// The codes of extract_canonical(s), without positions.
+  [[nodiscard]] std::vector<KmerCode> canonical_codes(std::string_view s) const;
+
+  /// canonical_codes(s) sorted, each code once.
+  [[nodiscard]] std::vector<KmerCode> distinct_canonical_codes(std::string_view s) const;
+
  private:
   int k_;
   KmerCode mask_;

@@ -1,5 +1,6 @@
 #pragma once
-// FNV-1a 64-bit hashing over bytes, strings, and files.
+// FNV-1a 64-bit hashing over bytes, strings, and files, plus the splitmix64
+// finalizer every integer mix in the tree shares.
 //
 // The checkpoint subsystem fingerprints pipeline options and stage
 // artifacts so a resumed run can prove the on-disk state still matches
@@ -13,6 +14,16 @@
 #include <string_view>
 
 namespace trinity::util {
+
+/// splitmix64's golden-ratio increment, for callers' pre-mix of their input.
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64 finalizer: a full-avalanche bijection on 64-bit words.
+[[nodiscard]] constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;

@@ -18,7 +18,7 @@ class CandidateFinder {
   CandidateFinder(const std::vector<seq::Sequence>& targets, const ValidationOptions& options)
       : options_(options), codec_(options.prefilter_k), num_targets_(targets.size()) {
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      for (const auto code : distinct_codes(targets[t])) {
+      for (const auto code : codec_.distinct_canonical_codes(targets[t].bases)) {
         index_.emplace_back(code, static_cast<std::int32_t>(t));
       }
     }
@@ -30,7 +30,7 @@ class CandidateFinder {
   /// (or sharing none) are dropped.
   std::vector<std::int32_t> candidates(const seq::Sequence& query) const {
     std::vector<std::size_t> shared(num_targets_, 0);
-    for (const auto code : distinct_codes(query)) {
+    for (const auto code : codec_.distinct_canonical_codes(query.bases)) {
       auto it = std::lower_bound(index_.begin(), index_.end(), code,
                                  [](const auto& entry, seq::KmerCode c) { return entry.first < c; });
       for (; it != index_.end() && it->first == code; ++it) {
@@ -55,14 +55,6 @@ class CandidateFinder {
   }
 
  private:
-  std::vector<seq::KmerCode> distinct_codes(const seq::Sequence& s) const {
-    std::vector<seq::KmerCode> codes;
-    for (const auto& occ : codec_.extract_canonical(s.bases)) codes.push_back(occ.code);
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-    return codes;
-  }
-
   const ValidationOptions& options_;
   seq::KmerCodec codec_;
   std::size_t num_targets_;

@@ -1,11 +1,14 @@
 // Tests for the Jellyfish substitute: counting correctness against a brute
-// force oracle, canonical semantics, dump formats, and concurrent inserts.
+// force oracle, canonical semantics, thread-count-independent dumps, and the
+// binary dump format.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <map>
-#include <thread>
 
+#include "io/error.hpp"
 #include "kmer/counter.hpp"
 #include "seq/dna.hpp"
 #include "test_helpers.hpp"
@@ -31,11 +34,45 @@ std::map<seq::KmerCode, std::uint32_t> oracle_counts(const std::vector<seq::Sequ
   return out;
 }
 
-CounterOptions opts(int k, bool canonical = true) {
+CounterOptions opts(int k, bool canonical = true, int num_threads = 0) {
   CounterOptions o;
   o.k = k;
   o.canonical = canonical;
+  o.num_threads = num_threads;
   return o;
+}
+
+/// count_of, distinct, total and the sorted dump all agree with the oracle.
+void expect_matches_oracle(const KmerCounter& counter, const std::vector<seq::Sequence>& seqs) {
+  const int k = counter.options().k;
+  const auto expected = oracle_counts(seqs, k, counter.options().canonical);
+  std::uint64_t expected_total = 0;
+  for (const auto& [code, count] : expected) expected_total += count;
+  EXPECT_EQ(counter.distinct(), expected.size()) << "k=" << k;
+  EXPECT_EQ(counter.total(), expected_total) << "k=" << k;
+  for (const auto& [code, count] : expected) {
+    EXPECT_EQ(counter.count_of(code), count) << "k=" << k;
+  }
+  auto dumped = counter.dump();
+  std::sort(dumped.begin(), dumped.end(),
+            [](const KmerCount& a, const KmerCount& b) { return a.code < b.code; });
+  ASSERT_EQ(dumped.size(), expected.size()) << "k=" << k;
+  auto want = expected.begin();
+  for (const auto& kc : dumped) {
+    EXPECT_EQ(kc.code, want->first) << "k=" << k;
+    EXPECT_EQ(kc.count, want->second) << "k=" << k;
+    ++want;
+  }
+}
+
+/// More bases than one add_sequences batch, with every read present four
+/// times so counts are not all 1.
+std::vector<seq::Sequence> multi_batch_corpus() {
+  std::vector<seq::Sequence> reads;
+  for (int i = 0; i < 2400; ++i) {
+    reads.push_back({"r" + std::to_string(i), random_dna(300, 1 + i % 600)});
+  }
+  return reads;
 }
 
 TEST(KmerCounterTest, MatchesBruteForceOracle) {
@@ -46,17 +83,33 @@ TEST(KmerCounterTest, MatchesBruteForceOracle) {
   for (const int k : {5, 15, 25}) {
     KmerCounter counter(opts(k));
     counter.add_sequences(seqs);
-    const auto expected = oracle_counts(seqs, k, true);
-
-    std::uint64_t expected_total = 0;
-    for (const auto& [code, count] : expected) expected_total += count;
-    EXPECT_EQ(counter.distinct(), expected.size()) << "k=" << k;
-    EXPECT_EQ(counter.total(), expected_total) << "k=" << k;
-    for (const auto& [code, count] : expected) {
-      EXPECT_EQ(counter.count_of(code), count) << "k=" << k;
-    }
+    expect_matches_oracle(counter, seqs);
   }
 }
+
+class KmerCounterThreadsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KmerCounterThreadsTest, MultiBatchCountsMatchOracleAndSerialDump) {
+  const auto reads = multi_batch_corpus();
+  ASSERT_GT(seq::total_bases(reads), KmerCounter::kBatchBases);
+  KmerCounter counter(opts(25, /*canonical=*/true, GetParam()));
+  counter.add_sequences(reads);
+  expect_matches_oracle(counter, reads);
+
+  // The dump order is a function of the reads alone: element for element
+  // what one thread produces.
+  KmerCounter serial(opts(25, /*canonical=*/true, 1));
+  serial.add_sequences(reads);
+  const auto got = counter.dump();
+  const auto want = serial.dump();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].code, want[i].code) << "record " << i;
+    ASSERT_EQ(got[i].count, want[i].count) << "record " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NumThreads, KmerCounterThreadsTest, ::testing::Values(1, 2, 4));
 
 TEST(KmerCounterTest, CanonicalMergesStrands) {
   const std::string fwd = random_dna(100, 44);
@@ -73,7 +126,7 @@ TEST(KmerCounterTest, CanonicalMergesStrands) {
 
 TEST(KmerCounterTest, NonCanonicalKeepsStrandsApart) {
   KmerCounter counter(opts(4, /*canonical=*/false));
-  counter.add_sequence({"s", "AAAA"});
+  counter.add_sequences({{"s", "AAAA"}});
   const seq::KmerCodec codec(4);
   EXPECT_EQ(counter.count_of(*codec.encode("AAAA")), 1u);
   EXPECT_EQ(counter.count_of(*codec.encode("TTTT")), 0u);
@@ -81,7 +134,7 @@ TEST(KmerCounterTest, NonCanonicalKeepsStrandsApart) {
 
 TEST(KmerCounterTest, CountOfCanonicalizesQueries) {
   KmerCounter counter(opts(5));
-  counter.add_sequence({"s", "ACGTC"});
+  counter.add_sequences({{"s", "ACGTC"}});
   const seq::KmerCodec codec(5);
   // Query by the reverse complement; the canonical counter must find it.
   EXPECT_EQ(counter.count_of(*codec.encode("GACGT")), 1u);
@@ -89,55 +142,31 @@ TEST(KmerCounterTest, CountOfCanonicalizesQueries) {
 
 TEST(KmerCounterTest, SequencesWithNsSkipThoseWindows) {
   KmerCounter counter(opts(3));
-  counter.add_sequence({"s", "ACGNACG"});
+  counter.add_sequences({{"s", "ACGNACG"}});
   EXPECT_EQ(counter.total(), 2u);  // "ACG" twice, nothing across the N
 }
 
 TEST(KmerCounterTest, AccumulatesAcrossCalls) {
   KmerCounter counter(opts(3));
-  counter.add_sequence({"a", "AAAA"});
-  counter.add_sequence({"b", "AAAA"});
+  counter.add_sequences({{"a", "AAAA"}});
+  counter.add_sequences({{"b", "AAAA"}});
   const seq::KmerCodec codec(3);
   EXPECT_EQ(counter.count_of(*codec.encode("AAA")), 4u);
 }
 
 TEST(KmerCounterTest, MinCountFiltersDump) {
   KmerCounter counter(opts(3));
-  counter.add_sequence({"s", "AAAAACG"});  // AAA x3, AAC, ACG once each
+  counter.add_sequences({{"s", "AAAAACG"}});  // AAA x3, AAC, ACG once each
   const auto all = counter.dump(1);
   const auto frequent = counter.dump(2);
   EXPECT_GT(all.size(), frequent.size());
   for (const auto& kc : frequent) EXPECT_GE(kc.count, 2u);
 }
 
-TEST(KmerCounterTest, RejectsNonPowerOfTwoShards) {
-  CounterOptions o;
-  o.num_shards = 7;
-  EXPECT_THROW(KmerCounter{o}, std::invalid_argument);
-}
-
-TEST(KmerCounterTest, ConcurrentInsertsAreExact) {
-  // Hammer the striped hash from explicit threads; total must be exact.
-  KmerCounter counter(opts(15));
-  const std::string seed_seq = random_dna(5000, 321);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&counter, &seed_seq] {
-      counter.add_sequence({"s", seed_seq});
-    });
-  }
-  for (auto& w : workers) w.join();
-  const auto expected = oracle_counts({{"s", seed_seq}}, 15, true);
-  std::uint64_t expected_total = 0;
-  for (const auto& [code, count] : expected) expected_total += count;
-  EXPECT_EQ(counter.total(), expected_total * kThreads);
-}
-
 TEST(KmerDumpTest, BinaryRoundTrip) {
   const TempDir dir("bdump");
   KmerCounter counter(opts(25));
-  counter.add_sequence({"s", random_dna(400, 10)});
+  counter.add_sequences({{"s", random_dna(400, 10)}});
   const auto counts = counter.dump();
   write_dump_binary(dir.file("k.bin"), counts, 25);
   const auto got = read_dump_binary(dir.file("k.bin"), 25);
@@ -157,12 +186,32 @@ TEST(KmerDumpTest, BinaryKMismatchThrows) {
 TEST(KmerDumpTest, TruncatedBinaryThrows) {
   const TempDir dir("trunc");
   KmerCounter counter(opts(11));
-  counter.add_sequence({"s", random_dna(100, 2)});
+  counter.add_sequences({{"s", random_dna(100, 2)}});
   write_dump_binary(dir.file("k.bin"), counter.dump(), 11);
   // Chop the file.
   const auto path = dir.file("k.bin");
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
   EXPECT_THROW(read_dump_binary(path, 11), std::runtime_error);
+}
+
+TEST(KmerDumpTest, RecordCountBeyondFileSizeIsTyped) {
+  // A header alone that claims 2^60 records: rejected as a typed parse
+  // error before anything is allocated for the records.
+  const TempDir dir("lie");
+  const auto path = dir.file("k.bin");
+  const std::uint32_t k = 25;
+  const std::uint64_t n = std::uint64_t{1} << 60;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(&k), sizeof(k));
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  }
+  try {
+    (void)read_dump_binary(path, 25);
+    FAIL() << "expected io::ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.category(), io::ParseCategory::kTruncatedRecord);
+  }
 }
 
 }  // namespace
