@@ -8,7 +8,7 @@
 //   trinity_stages jellyfish <reads.fa>              --out kmers.bin [--k 25]
 //   trinity_stages inchworm  <kmers.bin>             --out inchworm.fa [--k 25]
 //   trinity_stages chrysalis <inchworm.fa> <reads.fa> --out-dir DIR
-//                            [--nprocs N] [--k 25] [--sam bowtie.sam]
+//                            [--ranks N] [--k 25] [--sam bowtie.sam]
 //                            [--gff-sharding pooled|overlap|owner]
 //                            [--resume] [--fault-rank R [--fault-op OP
 //                            --fault-at N]] [--max-attempts M]
@@ -16,11 +16,13 @@
 //                            [--k 25]
 //
 // The chrysalis stage writes <DIR>/components.txt and
-// <DIR>/readsToComponents.out.tsv; butterfly consumes both. --nprocs is
-// the paper's Trinity.pl extension: > 1 runs the hybrid Chrysalis.
+// <DIR>/readsToComponents.out.tsv; butterfly consumes both. --ranks is
+// the paper's Trinity.pl --nprocs extension: > 1 runs the hybrid
+// Chrysalis, which realigns, so --sam needs --ranks 1.
 //
 // Chrysalis also records a checkpoint manifest in DIR: --resume skips the
-// whole stage when the recorded inputs/outputs still validate, and the
+// whole stage when its options, the content of its input files (--sam
+// included) and its recorded outputs still validate, and the
 // fault flags kill rank R mid-run (at its first communication unless
 // --fault-op/--fault-at pick a specific collective entry), after which the
 // stage is re-launched up to --max-attempts times.
@@ -53,7 +55,8 @@ int usage() {
   std::cerr << "usage: trinity_stages <jellyfish|inchworm|chrysalis|butterfly> ...\n"
             << "  jellyfish <reads.fa> --out kmers.bin [--k 25]\n"
             << "  inchworm  <kmers.bin> --out inchworm.fa [--k 25]\n"
-            << "  chrysalis <inchworm.fa> <reads.fa> --out-dir DIR [--nprocs N] [--k 25]\n"
+            << "  chrysalis <inchworm.fa> <reads.fa> --out-dir DIR [--ranks N] [--k 25]\n"
+            << "            [--sam bowtie.sam] [--gff-sharding pooled|overlap|owner]\n"
             << "            [--resume] [--fault-rank R [--fault-op OP --fault-at N]]\n"
             << "            [--max-attempts M]\n"
             << "  butterfly <inchworm.fa> <DIR> <reads.fa> --out Trinity.fa [--k 25]\n";
@@ -92,12 +95,19 @@ int stage_inchworm(const Config& cfg, int k) {
 }
 
 int stage_chrysalis(const Config& cfg, int k) {
+  const int ranks = static_cast<int>(cfg.get_int("ranks"));
+  // An existing Bowtie SAM file can be consumed instead of realigning —
+  // the file-exchange interop Trinity's own stages rely on. The hybrid
+  // path aligns inside its simpi world, so it cannot take one.
+  const std::string sam_path = cfg.get_string("sam");
+  if (!sam_path.empty() && ranks > 1) {
+    throw ConfigError("sam", "needs --ranks 1: the hybrid Chrysalis realigns the reads");
+  }
   const auto contigs = seq::read_all(cfg.positional()[1]);
   const std::string reads_path = cfg.positional()[2];
   const auto reads = seq::read_all(reads_path);
   const std::string out_dir = cfg.get_string("out-dir");
   std::filesystem::create_directories(out_dir);
-  const int nprocs = static_cast<int>(cfg.get_int("ranks"));
 
   kmer::CounterOptions copt;
   copt.k = k;
@@ -115,14 +125,16 @@ int stage_chrysalis(const Config& cfg, int k) {
   r2t.k = k;
 
   // Checkpoint: the stage's outputs in out_dir, fingerprinted by its
-  // options and the content of both inputs (which live outside out_dir, so
-  // they fold into the fingerprint instead of the artifact list).
-  const std::uint64_t fp = checkpoint::FingerprintBuilder()
-                               .add("stage", std::string_view("chrysalis"))
-                               .add("k", static_cast<std::int64_t>(k))
-                               .add("inchworm", util::fnv1a_file(cfg.positional()[1]))
-                               .add("reads", util::fnv1a_file(reads_path))
-                               .digest();
+  // options and the content of its input files (which live outside
+  // out_dir and come from no earlier recorded stage, so they fold into the
+  // fingerprint).
+  checkpoint::FingerprintBuilder fingerprint;
+  fingerprint.add("stage", std::string_view("chrysalis"))
+      .add("k", static_cast<std::int64_t>(k))
+      .add("inchworm", util::fnv1a_file(cfg.positional()[1]))
+      .add("reads", util::fnv1a_file(reads_path));
+  if (!sam_path.empty()) fingerprint.add("sam", util::fnv1a_file(sam_path));
+  const std::uint64_t fp = fingerprint.digest();
   const std::string manifest_path = out_dir + "/run_manifest.jsonl";
   auto manifest = checkpoint::RunManifest::load(manifest_path);
   if (cfg.get_bool("resume")) {
@@ -142,10 +154,7 @@ int stage_chrysalis(const Config& cfg, int k) {
   chrysalis::ComponentSet components;
   std::size_t assigned = 0;
   int attempts = 1;
-  // An existing Bowtie SAM file can be consumed instead of realigning —
-  // the file-exchange interop Trinity's own stages rely on.
-  const std::string sam_path = cfg.get_string("sam");
-  if (nprocs == 1) {
+  if (ranks == 1) {
     std::vector<align::SamRecord> sam;
     if (!sam_path.empty()) {
       sam = align::read_sam(sam_path).records;
@@ -171,7 +180,7 @@ int stage_chrysalis(const Config& cfg, int k) {
     // here re-launched on a rank failure, like the pipeline's retry driver.
     const auto run_world = [&] {
       simpi::run(
-          nprocs,
+          ranks,
           [&](simpi::Context& ctx) {
             const auto bowtie =
                 align::distributed_bowtie(ctx, contigs, reads, align::AlignerOptions{});
@@ -223,15 +232,13 @@ int stage_chrysalis(const Config& cfg, int k) {
   checkpoint::StageRecord rec;
   rec.stage = "chrysalis";
   rec.fingerprint = fp;
-  rec.complete = true;
-  rec.attempt = attempts;
   rec.outputs.push_back(checkpoint::capture_artifact(out_dir, "components.txt"));
   rec.outputs.push_back(checkpoint::capture_artifact(out_dir, "readsToComponents.out.tsv"));
   manifest.upsert(std::move(rec));
   manifest.commit();
 
-  std::cout << "chrysalis (" << (nprocs == 1 ? "shared-memory" : "hybrid") << ", nprocs="
-            << nprocs << "): " << contigs.size() << " contigs -> "
+  std::cout << "chrysalis (" << (ranks == 1 ? "shared-memory" : "hybrid") << ", ranks="
+            << ranks << "): " << contigs.size() << " contigs -> "
             << components.num_components() << " components; " << assigned
             << " reads assigned -> " << out_dir << "/{components.txt,readsToComponents.out.tsv}\n";
   if (attempts > 1) {

@@ -71,8 +71,10 @@
 #      buffered stage-output writers unwinding mid-stream on injected
 #      faults; for the k-mer tables, the partition-then-count counter's
 #      OpenMP buffers and the Inchworm, Bowtie seed, de Bruijn and
-#      weld-support lookups on FlatKmerIndex), where sanitizers earn their
-#      keep.
+#      weld-support lookups on FlatKmerIndex; for Butterfly, the
+#      per-component graph walks; for ReadsToTranscripts, the streamed read
+#      assignment across ranks), where sanitizers earn their keep. The checkpoint binary includes the seeded manifest-mutation
+#      corpus.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -eu
@@ -282,7 +284,7 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate + fault-matrix + k-mer table tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw + validate + fault-matrix + k-mer table + butterfly + r2t tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
@@ -290,13 +292,15 @@ cmake --build build-asan -j "$jobs" --target \
     config_test flat_index_test transcript_index_test serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
     sw_test validate_test io_fault_matrix_test \
-    kmer_test inchworm_test debruijn_test align_test chrysalis_gff_test
+    kmer_test inchworm_test debruijn_test align_test chrysalis_gff_test \
+    butterfly_test chrysalis_r2t_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test transcript_index_test serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
          sw_test validate_test io_fault_matrix_test \
-         kmer_test inchworm_test debruijn_test align_test chrysalis_gff_test; do
+         kmer_test inchworm_test debruijn_test align_test chrysalis_gff_test \
+         butterfly_test chrysalis_r2t_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

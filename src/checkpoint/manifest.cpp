@@ -65,12 +65,7 @@ std::string to_json_line(const StageRecord& record) {
   util::Json out = util::Json::object();
   out.set("stage", record.stage);
   out.set("fingerprint", hex64(record.fingerprint));
-  out.set("complete", record.complete);
-  out.set("attempt", record.attempt);
-  out.set("wall_seconds", record.wall_seconds);
-  out.set("checkpoint_seconds", record.checkpoint_seconds);
   if (!record.trace.empty()) out.set("trace", record.trace);
-  out.set("inputs", artifacts_json(record.inputs));
   out.set("outputs", artifacts_json(record.outputs));
   return out.dump();
 }
@@ -83,13 +78,12 @@ std::optional<StageRecord> parse_json_line(const std::string& line) {
     for (const auto& [key, value] : doc.members()) {
       if (key == "stage") { record.stage = value.as_string(); saw_stage = true; }
       else if (key == "fingerprint") { record.fingerprint = parse_hex64(value); saw_fingerprint = true; }
-      else if (key == "complete") record.complete = value.as_bool();
-      else if (key == "attempt") record.attempt = static_cast<int>(value.as_int());
-      else if (key == "wall_seconds") record.wall_seconds = value.as_double();
-      else if (key == "checkpoint_seconds") record.checkpoint_seconds = value.as_double();
       else if (key == "trace") record.trace = value.as_string();
-      else if (key == "inputs") record.inputs = parse_artifacts(value);
       else if (key == "outputs") record.outputs = parse_artifacts(value);
+      // Earlier-format keys: a stage that never completed is no checkpoint.
+      else if (key == "complete") { if (!value.as_bool()) return std::nullopt; }
+      else if (key == "inputs" || key == "attempt" || key == "wall_seconds" ||
+               key == "checkpoint_seconds") continue;
       else return std::nullopt;  // unknown key
     }
     if (!saw_stage || !saw_fingerprint) return std::nullopt;
@@ -148,7 +142,6 @@ const char* to_string(StageCheck check) {
   switch (check) {
     case StageCheck::kValid: return "valid";
     case StageCheck::kNoRecord: return "no record";
-    case StageCheck::kIncomplete: return "incomplete";
     case StageCheck::kFingerprintMismatch: return "options fingerprint mismatch";
     case StageCheck::kArtifactMissing: return "artifact missing";
     case StageCheck::kArtifactModified: return "artifact modified";
@@ -165,11 +158,10 @@ ArtifactRecord capture_artifact(const std::string& work_dir, const std::string& 
   return a;
 }
 
-namespace {
-
-StageCheck check_artifacts(const std::vector<ArtifactRecord>& artifacts,
-                           const std::string& work_dir) {
-  for (const auto& a : artifacts) {
+StageCheck validate_stage(const StageRecord& record, const std::string& work_dir,
+                          std::uint64_t fingerprint) {
+  if (record.fingerprint != fingerprint) return StageCheck::kFingerprintMismatch;
+  for (const auto& a : record.outputs) {
     const std::string full = work_dir + "/" + a.path;
     std::error_code ec;
     const auto size = std::filesystem::file_size(full, ec);
@@ -182,17 +174,6 @@ StageCheck check_artifacts(const std::vector<ArtifactRecord>& artifacts,
     }
   }
   return StageCheck::kValid;
-}
-
-}  // namespace
-
-StageCheck validate_stage(const StageRecord& record, const std::string& work_dir,
-                          std::uint64_t fingerprint) {
-  if (!record.complete) return StageCheck::kIncomplete;
-  if (record.fingerprint != fingerprint) return StageCheck::kFingerprintMismatch;
-  const StageCheck inputs = check_artifacts(record.inputs, work_dir);
-  if (inputs != StageCheck::kValid) return inputs;
-  return check_artifacts(record.outputs, work_dir);
 }
 
 }  // namespace trinity::checkpoint

@@ -6,10 +6,11 @@
 // stage. Trinity's stages already exchange their results through files in
 // the work directory, so those artifacts are the natural checkpoint
 // boundary (the same observation extreme-scale assemblers build on). The
-// manifest records, per stage: the options fingerprint the stage ran
-// under, the input and output artifacts with content hashes, and
-// completion status — one JSON object per line, committed atomically by
-// writing a temporary file and renaming it over the manifest path.
+// manifest records, per completed stage, the options fingerprint it ran
+// under and its output artifacts with content hashes — one JSON object per
+// line, committed atomically by writing a temporary file and renaming it
+// over the manifest path. Inputs need no record: each is an earlier
+// stage's output, and resume skips only a prefix of re-validated stages.
 //
 // Loading is deliberately tolerant: a truncated or corrupt line (the
 // signature of a crash mid-write on a filesystem without atomic rename)
@@ -24,7 +25,7 @@
 
 namespace trinity::checkpoint {
 
-/// One stage input or output file, identified by its work-dir-relative
+/// One stage output file, identified by its work-dir-relative
 /// path plus size and FNV-1a content hash.
 struct ArtifactRecord {
   std::string path;          ///< relative to the work directory
@@ -33,20 +34,15 @@ struct ArtifactRecord {
   friend bool operator==(const ArtifactRecord&, const ArtifactRecord&) = default;
 };
 
-/// One completed (or attempted) pipeline stage.
+/// One completed pipeline stage; its times live in the ResourceTrace.
 struct StageRecord {
   std::string stage;                    ///< stage name, e.g. "chrysalis.bowtie"
   std::uint64_t fingerprint = 0;        ///< options fingerprint of the run
-  bool complete = false;                ///< stage finished and outputs committed
-  int attempt = 1;                      ///< attempt number that succeeded
-  double wall_seconds = 0.0;            ///< stage execution wall time
-  double checkpoint_seconds = 0.0;      ///< hashing + manifest commit overhead
   /// Work-dir-relative path of the run report carrying this stage's
   /// observability metrics (docs/OBSERVABILITY.md). Optional: empty when
   /// the run emitted no report, and omitted from the JSON line then, so
   /// manifests written before the field existed parse unchanged.
   std::string trace;
-  std::vector<ArtifactRecord> inputs;   ///< artifacts the stage consumed
   std::vector<ArtifactRecord> outputs;  ///< artifacts the stage produced
 };
 
@@ -54,7 +50,9 @@ struct StageRecord {
 [[nodiscard]] std::string to_json_line(const StageRecord& record);
 
 /// Parses one manifest line; std::nullopt on any malformed input
-/// (truncation, bad escape, missing field, trailing garbage).
+/// (truncation, bad escape, missing field, trailing garbage) and on an
+/// earlier-format line with "complete": false. That format's other extra
+/// keys ("inputs", "attempt", "wall_seconds", ...) are ignored.
 [[nodiscard]] std::optional<StageRecord> parse_json_line(const std::string& line);
 
 /// The ordered collection of stage records, persisted as JSON lines.
@@ -93,10 +91,9 @@ class RunManifest {
 enum class StageCheck {
   kValid,                ///< record matches fingerprint and on-disk artifacts
   kNoRecord,             ///< stage absent from the manifest
-  kIncomplete,           ///< recorded but never marked complete
   kFingerprintMismatch,  ///< options changed since the record was written
-  kArtifactMissing,      ///< an input/output file disappeared
-  kArtifactModified,     ///< an input/output file's size or hash changed
+  kArtifactMissing,      ///< an output file disappeared
+  kArtifactModified,     ///< an output file's size or hash changed
 };
 
 [[nodiscard]] const char* to_string(StageCheck check);
@@ -107,7 +104,7 @@ enum class StageCheck {
                                               const std::string& rel_path);
 
 /// Validates a recorded stage against the current options fingerprint and
-/// the on-disk artifacts. Never throws: unreadable or altered files map to
+/// its on-disk outputs. Never throws: unreadable or altered files map to
 /// the corresponding StageCheck reason.
 [[nodiscard]] StageCheck validate_stage(const StageRecord& record,
                                         const std::string& work_dir,

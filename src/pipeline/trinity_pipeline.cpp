@@ -159,11 +159,11 @@ void record_stage_comm(const PipelineOptions& options, PipelineResult& result,
 
 /// Orchestrates one pipeline run as a sequence of checkpointed stages.
 ///
-/// Each stage declares its input/output artifacts and two bodies: compute
-/// (run the stage, writing its outputs) and load (rebuild the in-memory
-/// products from the outputs of a previous run). The driver decides per
-/// stage whether to resume or execute, retries aborted simpi worlds, and
-/// commits a manifest record after each completed stage.
+/// Each stage declares its output artifacts and two bodies: compute (run
+/// the stage, writing its outputs) and load (rebuild the in-memory products
+/// from the outputs of a previous run). The driver decides per stage
+/// whether to resume or execute, retries aborted simpi worlds, and commits
+/// a manifest record after each completed stage.
 class StageDriver {
  public:
   StageDriver(const PipelineOptions& options, std::string work_dir,
@@ -192,20 +192,12 @@ class StageDriver {
     if (fault_.enabled()) fault_.arm();
   }
 
-  void stage(const std::string& name, const std::vector<std::string>& inputs,
-             const std::vector<std::string>& outputs,
+  void stage(const std::string& name, const std::vector<std::string>& outputs,
              const std::function<void()>& compute, const std::function<void()>& load) {
     // Cancellation point: every completed stage has already committed its
     // checkpoint, so stopping here loses no work — a resume run continues
     // from this exact boundary.
-    if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
-      trace::instant("stage.deadline", trace::kCatPipeline, name);
-      throw DeadlineExceededError(name);
-    }
-    if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
-      trace::instant("stage.preempt", trace::kCatPipeline, name);
-      throw PreemptedError(name);
-    }
+    throw_if_cancelled(name);
     publish_heartbeat(name);
     if (can_resume(name)) {
       trace_.phase(name + ".resumed", load);
@@ -215,16 +207,18 @@ class StageDriver {
     }
     chain_valid_ = false;  // everything downstream recomputes too
     if (name == options_.hang_stage && options_.hang_seconds > 0.0) hang_in_stage(name);
-    const Execution exec = execute_with_retry(name, compute);
+    execute_with_retry(name, compute);
     result_.stages_executed.push_back(name);
     if (options_.metrics != nullptr) {
+      // The successful attempt's closing phase: the histogram, the run
+      // report and the trace all read this one wall time.
       options_.metrics
           ->histogram("trinity_stage_duration_seconds",
                       "Wall seconds per executed pipeline stage",
                       obs::latency_buckets_s(), {{"stage", name}})
-          .observe(exec.wall_seconds);
+          .observe(trace_.records().back().wall_seconds);
     }
-    if (options_.checkpoint) record(name, inputs, outputs, exec);
+    if (options_.checkpoint) record(name, outputs);
     sync_trace();
   }
 
@@ -296,6 +290,18 @@ class StageDriver {
   }
 
  private:
+  /// Throws when the deadline or the preempt token is set.
+  void throw_if_cancelled(const std::string& name) const {
+    if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
+      trace::instant("stage.deadline", trace::kCatPipeline, name);
+      throw DeadlineExceededError(name);
+    }
+    if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
+      trace::instant("stage.preempt", trace::kCatPipeline, name);
+      throw PreemptedError(name);
+    }
+  }
+
   /// The injected wedge: sleep inside the stage (no manifest progress)
   /// while polling both cancellation tokens, so the watchdog's cancel is
   /// observed within one poll interval rather than at stage end.
@@ -304,14 +310,7 @@ class StageDriver {
                    name + ": injected hang " + std::to_string(options_.hang_seconds) + "s");
     util::Timer wall;
     while (wall.seconds() < options_.hang_seconds) {
-      if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
-        trace::instant("stage.deadline", trace::kCatPipeline, name);
-        throw DeadlineExceededError(name);
-      }
-      if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
-        trace::instant("stage.preempt", trace::kCatPipeline, name);
-        throw PreemptedError(name);
-      }
+      throw_if_cancelled(name);
       checkpoint::sleep_seconds(0.01);
     }
   }
@@ -328,15 +327,9 @@ class StageDriver {
     return false;
   }
 
-  struct Execution {
-    double wall_seconds = 0.0;
-    int attempts = 1;  ///< 1 when the stage succeeded first try
-  };
-
-  Execution execute_with_retry(const std::string& name, const std::function<void()>& compute) {
+  void execute_with_retry(const std::string& name, const std::function<void()>& compute) {
     const checkpoint::RetryPolicy& policy = options_.retry;
     for (int attempt = 1;; ++attempt) {
-      util::Timer wall;
       std::exception_ptr error;
       const std::string label = attempt == 1 ? name : name + ".retry" + std::to_string(attempt);
       // The phase must close even when the stage throws, so the aborted
@@ -349,7 +342,7 @@ class StageDriver {
           error = std::current_exception();
         }
       });
-      if (!error) return {wall.seconds(), attempt};
+      if (!error) return;
       try {
         std::rethrow_exception(error);
       } catch (const simpi::RankFaultError& e) {
@@ -384,25 +377,18 @@ class StageDriver {
                << attempt + 1 << "/" << policy.max_attempts;
   }
 
-  void record(const std::string& name, const std::vector<std::string>& inputs,
-              const std::vector<std::string>& outputs, const Execution& exec) {
-    // Hashing the artifacts and committing the manifest is the checkpoint
+  void record(const std::string& name, const std::vector<std::string>& outputs) {
+    // Hashing the outputs and committing the manifest is the checkpoint
     // overhead; it gets its own trace phase so Fig-2/11-style traces (and
     // bench_checkpoint_overhead) can show it per stage.
     trace_.phase(name + ".checkpoint", [&] {
-      util::Timer timer;
       checkpoint::StageRecord record;
       record.stage = name;
       record.fingerprint = result_.options_fingerprint;
-      record.complete = true;
-      record.attempt = exec.attempts;
-      record.wall_seconds = exec.wall_seconds;
       record.trace = trace_ref_;
-      for (const auto& p : inputs) record.inputs.push_back(checkpoint::capture_artifact(work_dir_, p));
       for (const auto& p : outputs) {
         record.outputs.push_back(checkpoint::capture_artifact(work_dir_, p));
       }
-      record.checkpoint_seconds = timer.seconds();
       manifest_.upsert(std::move(record));
       manifest_.commit();
     });
@@ -481,7 +467,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   // Stage files: Trinity modules exchange data through the filesystem —
   // which is exactly what makes them checkpoints.
   driver.stage(
-      "write_input", {}, {kReadsFile},
+      "write_input", {kReadsFile},
       [&] { seq::write_fasta(reads_path, reads); },  //
       [&] {});  // reads are already in memory; the file validated on disk
 
@@ -493,7 +479,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   kmer::KmerCounter counter(counter_options);
   std::vector<kmer::KmerCount> counts;
   driver.stage(
-      "jellyfish", {kReadsFile}, {kKmersFile},
+      "jellyfish", {kKmersFile},
       [&] {
         // Rebuild the counter on entry: the retry driver may run this body
         // again (e.g. after a transient I/O failure on the dump), and
@@ -511,7 +497,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
 
   // --- Inchworm: greedy contigs ---------------------------------------------
   driver.stage(
-      "inchworm", {kKmersFile}, {kContigsFile},
+      "inchworm", {kContigsFile},
       [&] {
         inchworm::InchwormOptions iw;
         iw.k = options.k;
@@ -535,7 +521,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
 
   std::vector<align::SamRecord> sam;
   driver.stage(
-      "chrysalis.bowtie", {kContigsFile, kReadsFile}, {kSamFile},
+      "chrysalis.bowtie", {kSamFile},
       [&] {
         if (options.nranks == 1) {
           util::ThreadCpuTimer cpu;
@@ -608,7 +594,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   }
 
   driver.stage(
-      "chrysalis.graph_from_fasta", {kContigsFile, kKmersFile, kSamFile}, {kComponentsFile},
+      "chrysalis.graph_from_fasta", {kComponentsFile},
       [&] {
         if (options.nranks == 1) {
           auto r = chrysalis::run_shared(result.contigs, counter, gff, scaffold);
@@ -659,8 +645,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   // Assigned (not merged) in the stage body: idempotent across retries.
   io::ParseDiagnostics r2t_parse;
   driver.stage(
-      "chrysalis.reads_to_transcripts", {kContigsFile, kComponentsFile, kReadsFile},
-      {kAssignmentsFile},
+      "chrysalis.reads_to_transcripts", {kAssignmentsFile},
       [&] {
         if (options.nranks == 1) {
           auto r = chrysalis::run_shared(result.contigs, result.components, reads_path, r2t,
@@ -700,8 +685,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
 
   // --- Butterfly (includes FastaToDebruijn + QuantifyGraph per component) ---
   driver.stage(
-      "butterfly", {kContigsFile, kComponentsFile, kAssignmentsFile, kReadsFile},
-      {kTranscriptsFile},
+      "butterfly", {kTranscriptsFile},
       [&] {
         butterfly::ButterflyOptions bf;
         bf.k = options.k;

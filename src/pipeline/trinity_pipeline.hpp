@@ -13,14 +13,14 @@
 //
 // Checkpoint/restart: those stage files double as checkpoints. With
 // checkpointing on (default), every completed stage is recorded in a
-// RunManifest (work_dir/run_manifest.jsonl, atomic commits). A re-launch
-// with `resume = true` validates the manifest against the current options
-// fingerprint and the on-disk artifacts, skips every stage that is still
-// valid, and re-runs from the first invalid one — so a run killed by a
-// rank failure resumes instead of starting over. In-process, a bounded
-// retry/backoff driver re-launches a stage whose simpi world aborted
-// (simpi::AbortedError / RankFaultError); `fault` + `fault_stage` inject
-// such failures for testing.
+// RunManifest (work_dir/run_manifest.jsonl, atomic commits): the options
+// fingerprint and each output's size and hash. A re-launch with `resume =
+// true` skips every stage before the first whose record no longer
+// validates — inputs are earlier stages' outputs, so this chain checks
+// them — and re-runs from there, so a run killed by a rank failure resumes
+// instead of starting over. In-process, a bounded retry/backoff driver
+// re-launches a stage whose simpi world aborted (simpi::AbortedError /
+// RankFaultError); `fault` + `fault_stage` inject such failures for testing.
 
 #include <atomic>
 #include <cstdint>
@@ -152,12 +152,12 @@ struct PipelineOptions {
 
   // --- checkpoint / restart ---------------------------------------------------
 
-  /// Record each completed stage in work_dir/run_manifest.jsonl. The only
-  /// cost is hashing the stage artifacts (measured as "<stage>.checkpoint"
-  /// trace phases and by bench_checkpoint_overhead).
+  /// Record each completed stage (options fingerprint, output hashes) in
+  /// work_dir/run_manifest.jsonl. The cost is hashing each output once
+  /// (the "<stage>.checkpoint" trace phases, bench_checkpoint_overhead).
   bool checkpoint = true;
   /// Skip stages whose manifest record validates against the options
-  /// fingerprint and on-disk artifacts; re-run from the first invalid one.
+  /// fingerprint and on-disk outputs; re-run from the first invalid one.
   bool resume = false;
   /// In-process recovery: a stage whose simpi world aborts is re-launched
   /// up to retry.max_attempts times with exponential backoff.

@@ -1,12 +1,14 @@
 // Tests for the checkpoint subsystem: manifest JSON-line round-trips,
-// tolerant loading of damaged manifests, atomic commits, stage validation
-// against on-disk artifacts, the options fingerprint builder, and the
-// retry/backoff policy.
+// earlier-format lines, tolerant loading of damaged and seeded-mutated
+// manifests, atomic commits, stage validation against on-disk outputs,
+// the options fingerprint builder, and the retry/backoff policy.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,14 +27,16 @@ StageRecord sample_record() {
   StageRecord r;
   r.stage = "chrysalis.bowtie";
   r.fingerprint = 0xdeadbeefcafef00dULL;
-  r.complete = true;
-  r.attempt = 2;
-  r.wall_seconds = 1.25;
-  r.checkpoint_seconds = 0.03125;
-  r.inputs.push_back({"inchworm.fa", 123, 0x1111222233334444ULL});
-  r.inputs.push_back({"reads.fa", 456, 0x5555666677778888ULL});
   r.outputs.push_back({"bowtie.sam", 789, 0x9999aaaabbbbccccULL});
+  r.outputs.push_back({"bowtie.log", 12, 0x1111222233334444ULL});
   return r;
+}
+
+void expect_same_record(const StageRecord& got, const StageRecord& want) {
+  EXPECT_EQ(got.stage, want.stage);
+  EXPECT_EQ(got.fingerprint, want.fingerprint);
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(got.outputs, want.outputs);
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -46,14 +50,7 @@ TEST(ManifestJson, RecordRoundTrips) {
   const StageRecord r = sample_record();
   const auto parsed = parse_json_line(to_json_line(r));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->stage, r.stage);
-  EXPECT_EQ(parsed->fingerprint, r.fingerprint);
-  EXPECT_EQ(parsed->complete, r.complete);
-  EXPECT_EQ(parsed->attempt, r.attempt);
-  EXPECT_DOUBLE_EQ(parsed->wall_seconds, r.wall_seconds);
-  EXPECT_DOUBLE_EQ(parsed->checkpoint_seconds, r.checkpoint_seconds);
-  EXPECT_EQ(parsed->inputs, r.inputs);
-  EXPECT_EQ(parsed->outputs, r.outputs);
+  expect_same_record(*parsed, r);
 }
 
 TEST(ManifestJson, HashesSurviveAsFullSixtyFourBit) {
@@ -73,11 +70,11 @@ TEST(ManifestJson, EscapesSpecialCharactersInPaths) {
   StageRecord r;
   r.stage = "weird \"stage\"\n\t\\name";
   r.fingerprint = 7;
-  r.inputs.push_back({"dir\\file \"x\".fa", 2, 3});
+  r.outputs.push_back({"dir\\file \"x\".fa", 2, 3});
   const auto parsed = parse_json_line(to_json_line(r));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->stage, r.stage);
-  EXPECT_EQ(parsed->inputs.at(0).path, r.inputs.at(0).path);
+  EXPECT_EQ(parsed->outputs.at(0).path, r.outputs.at(0).path);
 }
 
 TEST(ManifestJson, TraceFieldIsOptionalAndRoundTrips) {
@@ -99,41 +96,54 @@ TEST(ManifestJson, TraceFieldIsOptionalAndRoundTrips) {
 }
 
 TEST(ManifestJson, ParsesLinesFromTheHandWrittenCodec) {
-  // Literal lines from the manifest's earlier hand-written writer, which
-  // formatted doubles through an ostream (`1e-05`, `123457`, `2.5e-07`):
-  // a work dir checkpointed by it must still resume.
+  // Literal lines from the manifest's earlier writers, which also recorded
+  // each stage's inputs, a completion flag, the attempt number and two
+  // timings; the hand-written one formatted doubles through an ostream
+  // (`1e-05`, `123457`, `2.5e-07`). A work dir checkpointed by either
+  // must still resume: the extra keys are ignored, and what is left is
+  // the same stage, fingerprint, trace and outputs.
   const auto plain = parse_json_line(
       R"({"stage":"jellyfish","fingerprint":"00000000000000ab","complete":true,)"
       R"("attempt":1,"wall_seconds":1e-05,"checkpoint_seconds":123457,)"
       R"("inputs":[{"path":"reads.fa","bytes":1048576,"hash":"0123456789abcdef"}],)"
       R"("outputs":[{"path":"kmers.bin","bytes":0,"hash":"fffffffffffffffe"}]})");
   ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(plain->stage, "jellyfish");
-  EXPECT_EQ(plain->fingerprint, 0xabULL);
-  EXPECT_TRUE(plain->complete);
-  EXPECT_EQ(plain->attempt, 1);
-  EXPECT_DOUBLE_EQ(plain->wall_seconds, 1e-05);
-  EXPECT_DOUBLE_EQ(plain->checkpoint_seconds, 123457.0);
-  EXPECT_TRUE(plain->trace.empty());
-  EXPECT_EQ(plain->inputs,
-            (std::vector<ArtifactRecord>{{"reads.fa", 1048576, 0x0123456789abcdefULL}}));
-  EXPECT_EQ(plain->outputs,
-            (std::vector<ArtifactRecord>{{"kmers.bin", 0, 0xfffffffffffffffeULL}}));
+  StageRecord want;
+  want.stage = "jellyfish";
+  want.fingerprint = 0xabULL;
+  want.outputs = {{"kmers.bin", 0, 0xfffffffffffffffeULL}};
+  expect_same_record(*plain, want);
 
   const auto traced = parse_json_line(
-      R"({"stage":"chrysalis.reads_to_transcripts","fingerprint":"deadbeefcafef00d",)"
-      R"("complete":false,"attempt":3,"wall_seconds":0,"checkpoint_seconds":2.5e-07,)"
-      R"("trace":"run_report.json","inputs":[],"outputs":[]})");
+      R"({"stage":"inchworm","fingerprint":"47312ba2559291cf","complete":true,)"
+      R"("attempt":2,"wall_seconds":0.003697219,"checkpoint_seconds":0.000837058,)"
+      R"("trace":"run_report.json",)"
+      R"("inputs":[{"path":"kmers.bin","bytes":444864,"hash":"42feed78d3bbc5c7"}],)"
+      R"("outputs":[{"path":"inchworm.fa","bytes":13161,"hash":"07ae793780833032"}]})");
   ASSERT_TRUE(traced.has_value());
-  EXPECT_EQ(traced->stage, "chrysalis.reads_to_transcripts");
-  EXPECT_EQ(traced->fingerprint, 0xdeadbeefcafef00dULL);
-  EXPECT_FALSE(traced->complete);
-  EXPECT_EQ(traced->attempt, 3);
-  EXPECT_DOUBLE_EQ(traced->wall_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(traced->checkpoint_seconds, 2.5e-07);
-  EXPECT_EQ(traced->trace, "run_report.json");
-  EXPECT_TRUE(traced->inputs.empty());
-  EXPECT_TRUE(traced->outputs.empty());
+  want.stage = "inchworm";
+  want.fingerprint = 0x47312ba2559291cfULL;
+  want.trace = "run_report.json";
+  want.outputs = {{"inchworm.fa", 13161, 0x07ae793780833032ULL}};
+  expect_same_record(*traced, want);
+  // Rewritten by this writer, the line carries none of the earlier keys.
+  EXPECT_EQ(to_json_line(*traced),
+            R"({"stage":"inchworm","fingerprint":"47312ba2559291cf",)"
+            R"("trace":"run_report.json",)"
+            R"("outputs":[{"path":"inchworm.fa","bytes":13161,"hash":"07ae793780833032"}]})");
+
+  // A stage recorded as never completed is no checkpoint: dropped like a
+  // torn line.
+  EXPECT_FALSE(parse_json_line(
+                   R"({"stage":"chrysalis.reads_to_transcripts","fingerprint":"deadbeefcafef00d",)"
+                   R"("complete":false,"attempt":3,"wall_seconds":0,"checkpoint_seconds":2.5e-07,)"
+                   R"("trace":"run_report.json","inputs":[],"outputs":[]})")
+                   .has_value());
+  // "complete" must still be a JSON boolean.
+  EXPECT_FALSE(parse_json_line(
+                   R"({"stage":"s","fingerprint":"0000000000000001","complete":"yes",)"
+                   R"("outputs":[]})")
+                   .has_value());
 }
 
 TEST(ManifestJson, RejectsMalformedLines) {
@@ -147,6 +157,100 @@ TEST(ManifestJson, RejectsMalformedLines) {
   EXPECT_FALSE(parse_json_line("not json at all").has_value());
   EXPECT_FALSE(parse_json_line("{}").has_value());  // missing required fields
   EXPECT_FALSE(parse_json_line("{\"stage\":\"x\"}").has_value());  // no fingerprint
+}
+
+// --- seeded mutation -------------------------------------------------------------
+
+/// Valid lines in the current and the earlier format: the mutation seeds.
+std::vector<std::string> mutation_corpus() {
+  StageRecord traced = sample_record();
+  traced.trace = "run_report.json";
+  return {
+      to_json_line(sample_record()),
+      to_json_line(traced),
+      R"({"stage":"jellyfish","fingerprint":"47312ba2559291cf","complete":true,"attempt":1,)"
+      R"("wall_seconds":0.030443021,"checkpoint_seconds":0.001530724,"trace":"run_report.json",)"
+      R"("inputs":[{"path":"reads.fa","bytes":377686,"hash":"4908a81b9fb3f147"}],)"
+      R"("outputs":[{"path":"kmers.bin","bytes":444864,"hash":"42feed78d3bbc5c7"}]})",
+      R"({"stage":"butterfly","fingerprint":"00000000000000ab","complete":false,"attempt":3,)"
+      R"("wall_seconds":1e-05,"checkpoint_seconds":123457,"inputs":[],"outputs":[]})",
+  };
+}
+
+/// One to three stacked mutations of a corpus line: bit flips, a
+/// truncation, or a splice of a prefix onto another line's suffix.
+std::string mutate(const std::vector<std::string>& corpus, std::mt19937_64& rng) {
+  std::string line = corpus[rng() % corpus.size()];
+  for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
+    switch (rng() % 3) {
+      case 0:
+        if (line.empty()) break;
+        for (int flips = 1 + static_cast<int>(rng() % 4); flips > 0; --flips) {
+          char& c = line[rng() % line.size()];
+          c = static_cast<char>(c ^ (1 << (rng() % 8)));
+        }
+        break;
+      case 1:
+        line.resize(line.empty() ? 0 : rng() % line.size());
+        break;
+      default: {
+        const std::string& other = corpus[rng() % corpus.size()];
+        line = line.substr(0, rng() % (line.size() + 1)) + other.substr(rng() % (other.size() + 1));
+      }
+    }
+  }
+  return line;
+}
+
+constexpr std::uint64_t kMutationSeeds[] = {1, 2, 3};
+
+TEST(ManifestMutation, MutatedLinesParseToRecordsOrNothing) {
+  const auto corpus = mutation_corpus();
+  std::size_t parsed_count = 0;
+  for (const std::uint64_t seed : kMutationSeeds) {
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 3000; ++i) {
+      const std::string line = mutate(corpus, rng);
+      const auto parsed = parse_json_line(line);
+      if (!parsed) continue;
+      ++parsed_count;
+      // A mutant that still parses is a well-formed record: the writer
+      // reproduces it exactly.
+      const auto again = parse_json_line(to_json_line(*parsed));
+      ASSERT_TRUE(again.has_value()) << "seed " << seed << ": " << line;
+      expect_same_record(*again, *parsed);
+    }
+  }
+  // Splices at matching offsets and flips inside hash digits keep some
+  // mutants valid, so both outcomes are exercised.
+  EXPECT_GT(parsed_count, 0u);
+}
+
+TEST(ManifestMutation, LoadOfMutatedFileNeverThrows) {
+  TempDir dir("manifest_mutation");
+  const std::string path = dir.file("run_manifest.jsonl");
+  const auto corpus = mutation_corpus();
+  for (const std::uint64_t seed : kMutationSeeds) {
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 200; ++i) {
+      // A few lines, valid and mutated mixed, as a crashed writer or a
+      // damaged disk might leave them.
+      std::string body;
+      for (int lines = 1 + static_cast<int>(rng() % 4); lines > 0; --lines) {
+        body += rng() % 2 == 0 ? corpus[rng() % corpus.size()] : mutate(corpus, rng);
+        body += '\n';
+      }
+      write_file(path, body);
+      std::size_t want_dropped = 0;
+      std::istringstream in(body);
+      for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && !parse_json_line(line)) ++want_dropped;
+      }
+      RunManifest m;
+      ASSERT_NO_THROW(m = RunManifest::load(path)) << "seed " << seed << " file " << i;
+      EXPECT_EQ(m.dropped_lines(), want_dropped) << "seed " << seed << " file " << i;
+    }
+  }
 }
 
 // --- RunManifest load/commit -----------------------------------------------------
@@ -165,7 +269,6 @@ TEST(RunManifest, CommitThenLoadRoundTrips) {
   StageRecord second;
   second.stage = "inchworm";
   second.fingerprint = first.fingerprint;
-  second.complete = true;
   m.upsert(first);
   m.upsert(second);
   m.commit();
@@ -183,12 +286,12 @@ TEST(RunManifest, UpsertReplacesInPlace) {
   RunManifest m("unused");
   StageRecord r = sample_record();
   m.upsert(r);
-  r.attempt = 5;
+  r.fingerprint = 5;
   m.upsert(r);
   ASSERT_EQ(m.records().size(), 1u);
-  EXPECT_EQ(m.records()[0].attempt, 5);
+  EXPECT_EQ(m.records()[0].fingerprint, 5u);
   ASSERT_NE(m.find("chrysalis.bowtie"), nullptr);
-  EXPECT_EQ(m.find("chrysalis.bowtie")->attempt, 5);
+  EXPECT_EQ(m.find("chrysalis.bowtie")->fingerprint, 5u);
   EXPECT_EQ(m.find("nope"), nullptr);
 }
 
@@ -218,8 +321,7 @@ TEST(ValidateStage, ValidRecordPasses) {
   StageRecord r;
   r.stage = "s";
   r.fingerprint = 42;
-  r.complete = true;
-  r.inputs.push_back(capture_artifact(dir.str(), "a.fa"));
+  r.outputs.push_back(capture_artifact(dir.str(), "a.fa"));
   r.outputs.push_back(capture_artifact(dir.str(), "b.sam"));
   EXPECT_EQ(validate_stage(r, dir.str(), 42), StageCheck::kValid);
 }
@@ -230,14 +332,9 @@ TEST(ValidateStage, ReportsEveryFailureReason) {
   StageRecord r;
   r.stage = "s";
   r.fingerprint = 42;
-  r.complete = true;
   r.outputs.push_back(capture_artifact(dir.str(), "a.fa"));
 
   EXPECT_EQ(validate_stage(r, dir.str(), 43), StageCheck::kFingerprintMismatch);
-
-  StageRecord incomplete = r;
-  incomplete.complete = false;
-  EXPECT_EQ(validate_stage(incomplete, dir.str(), 42), StageCheck::kIncomplete);
 
   // Same size, different bytes: only the hash catches it.
   write_file(dir.file("a.fa"), ">r0\nACGA\n");

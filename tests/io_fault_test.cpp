@@ -224,7 +224,6 @@ TEST(ManifestFaults, EnospcOnCommitKeepsThePreviousManifest) {
   checkpoint::StageRecord rec;
   rec.stage = "alpha";
   rec.fingerprint = 1;
-  rec.complete = true;
   manifest.upsert(rec);
   manifest.commit();
 
@@ -242,7 +241,6 @@ TEST(ManifestFaults, TornRenameTailIsDroppedByTheLoader) {
   const std::string path = dir.file("run_manifest.jsonl");
   checkpoint::RunManifest manifest(path);
   checkpoint::StageRecord rec;
-  rec.complete = true;
   rec.fingerprint = 42;
   for (const char* stage : {"alpha", "beta", "gamma"}) {
     rec.stage = stage;
@@ -263,7 +261,6 @@ TEST(ManifestFaults, TruncationCorpusNeverCrashesTheLoader) {
   const std::string path = dir.file("run_manifest.jsonl");
   checkpoint::RunManifest manifest(path);
   checkpoint::StageRecord rec;
-  rec.complete = true;
   for (const char* stage : {"alpha", "beta", "gamma"}) {
     rec.stage = stage;
     manifest.upsert(rec);

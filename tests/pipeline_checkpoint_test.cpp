@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "checkpoint/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/trinity_pipeline.hpp"
 #include "sim/transcriptome.hpp"
 #include "test_helpers.hpp"
@@ -97,9 +99,8 @@ TEST(PipelineCheckpoint, FreshRunRecordsEveryStage) {
   for (std::size_t i = 0; i < kAllStages.size(); ++i) {
     const auto& rec = manifest.records()[i];
     EXPECT_EQ(rec.stage, kAllStages[i]);
-    EXPECT_TRUE(rec.complete);
     EXPECT_EQ(rec.fingerprint, result.options_fingerprint);
-    EXPECT_EQ(rec.attempt, 1);
+    EXPECT_EQ(rec.outputs.size(), 1u) << rec.stage;
     for (const auto& artifact : rec.outputs) {
       EXPECT_EQ(checkpoint::capture_artifact(dir.str(), artifact.path), artifact)
           << rec.stage << " output " << artifact.path << " drifted from its record";
@@ -152,6 +153,58 @@ TEST(PipelineCheckpoint, ResumeSkipsEveryValidStage) {
   EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
 }
 
+TEST(PipelineCheckpoint, EarlierFormatManifestResumesEveryStage) {
+  // The earlier manifest writer also recorded each stage's input
+  // artifacts, a completion flag, the attempt number and two timings. A
+  // finished run's manifest rewritten in that format must still resume
+  // every stage.
+  const TempDir dir("ckpt_earlier_format");
+  const auto& data = shared_dataset();
+  auto options = small_options(dir.str());
+  run_pipeline(data.reads.reads, options);
+  const std::string transcripts = slurp(dir.file("Trinity.fa"));
+
+  // The inputs the earlier writer hashed, per stage in pipeline order.
+  const std::vector<std::vector<std::string>> inputs = {
+      {},
+      {"reads.fa"},
+      {"kmers.bin"},
+      {"inchworm.fa", "reads.fa"},
+      {"inchworm.fa", "kmers.bin", "bowtie.sam"},
+      {"inchworm.fa", "components.txt", "reads.fa"},
+      {"inchworm.fa", "components.txt", "readsToComponents.out.tsv", "reads.fa"}};
+  const std::string path = dir.file(kManifestFileName);
+  const auto manifest = checkpoint::RunManifest::load(path);
+  ASSERT_EQ(manifest.records().size(), kAllStages.size());
+  std::string earlier;
+  for (std::size_t i = 0; i < kAllStages.size(); ++i) {
+    std::string line = checkpoint::to_json_line(manifest.records()[i]);
+    const std::string fingerprint_key = R"("fingerprint":")";
+    line.insert(line.find(fingerprint_key) + fingerprint_key.size() + 17,
+                R"(,"complete":true,"attempt":1,"wall_seconds":0.25,"checkpoint_seconds":1e-05)");
+    std::ostringstream in_json;
+    in_json << R"(,"inputs":[)";
+    for (std::size_t j = 0; j < inputs[i].size(); ++j) {
+      const auto a = checkpoint::capture_artifact(dir.str(), inputs[i][j]);
+      char hash[17];
+      std::snprintf(hash, sizeof(hash), "%016llx", static_cast<unsigned long long>(a.hash));
+      in_json << (j == 0 ? "" : ",") << R"({"path":")" << a.path << R"(","bytes":)" << a.bytes
+              << R"(,"hash":")" << hash << R"("})";
+    }
+    in_json << ']';
+    line.insert(line.find(R"(,"outputs")"), in_json.str());
+    earlier += line + '\n';
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << earlier;
+  ASSERT_EQ(checkpoint::RunManifest::load(path).dropped_lines(), 0u);
+
+  options.resume = true;
+  const auto result = run_pipeline(data.reads.reads, options);
+  EXPECT_EQ(result.stages_resumed, kAllStages);
+  EXPECT_TRUE(result.stages_executed.empty());
+  EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
+}
+
 TEST(PipelineCheckpoint, ResumeWithoutManifestRunsEverything) {
   const TempDir dir("ckpt_resume_cold");
   auto options = small_options(dir.str());
@@ -169,20 +222,34 @@ TEST(PipelineCheckpoint, ModifiedArtifactRerunsFromThatStage) {
   run_pipeline(data.reads.reads, options);
   const std::string transcripts = slurp(dir.file("Trinity.fa"));
 
-  // Same-size corruption of the Inchworm output: only the hash can see it.
-  {
-    std::fstream f(dir.file("inchworm.fa"),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(3);
-    f.put('X');
-  }
-
+  // A stage records only its outputs, so a damaged artifact is caught at
+  // the stage that wrote it, and the chain re-runs every stage after it —
+  // the stages that read it included. reads.fa and kmers.bin each feed
+  // more than one later stage.
+  struct Case {
+    const char* artifact;
+    std::size_t producer;  ///< index of the stage that writes it
+  };
   options.resume = true;
-  const auto result = run_pipeline(data.reads.reads, options);
-  EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 2));
-  EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 2));
-  // Recomputation from intact upstream artifacts restores the output.
-  EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
+  for (const Case c : {Case{"inchworm.fa", 2}, Case{"reads.fa", 0}, Case{"kmers.bin", 1}}) {
+    SCOPED_TRACE(c.artifact);
+    // Same-size corruption: only the hash can see it.
+    {
+      const std::string path = dir.file(c.artifact);
+      const auto middle = static_cast<std::streamoff>(std::filesystem::file_size(path) / 2);
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(middle);
+      const char byte = static_cast<char>(f.get() ^ 1);
+      f.seekp(middle);
+      f.put(byte);
+    }
+    const auto result = run_pipeline(data.reads.reads, options);
+    EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, c.producer));
+    EXPECT_EQ(result.stages_executed, stages_from(kAllStages, c.producer));
+    // Recomputation from intact upstream artifacts restores the output
+    // (and the work dir, for the next case).
+    EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
+  }
 }
 
 TEST(PipelineCheckpoint, MissingArtifactRerunsFromThatStage) {
@@ -273,12 +340,14 @@ TEST(PipelineCheckpoint, InjectedFaultIsRetriedInProcess) {
   auto options = small_options(dir.str(), /*nranks=*/3);
   options.fault = kill_rank(1);
   options.fault_stage = "chrysalis.graph_from_fasta";
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
   const auto result = run_pipeline(data.reads.reads, options);
 
   EXPECT_EQ(result.stage_retries, 1);
   EXPECT_EQ(result.stages_executed, kAllStages);
   // The retried attempt appears in the trace; the manifest records the
-  // attempt number that finally succeeded.
+  // stage once it finally succeeded.
   std::vector<std::string> phases;
   for (const auto& r : result.trace) phases.push_back(r.name);
   EXPECT_NE(std::find(phases.begin(), phases.end(),
@@ -286,7 +355,22 @@ TEST(PipelineCheckpoint, InjectedFaultIsRetriedInProcess) {
             phases.end());
   const auto manifest = checkpoint::RunManifest::load(dir.file(kManifestFileName));
   ASSERT_NE(manifest.find("chrysalis.graph_from_fasta"), nullptr);
-  EXPECT_EQ(manifest.find("chrysalis.graph_from_fasta")->attempt, 2);
+
+  // The stage-duration histogram observes the wall time of the phase that
+  // succeeded, so it equals the trace's (and the run report's) exactly.
+  const auto snap = metrics.snapshot();
+  for (const auto& stage : kAllStages) {
+    const std::string phase =
+        stage == "chrysalis.graph_from_fasta" ? stage + ".retry2" : stage;
+    const auto it = std::find_if(result.trace.begin(), result.trace.end(),
+                                 [&](const util::PhaseRecord& r) { return r.name == phase; });
+    ASSERT_NE(it, result.trace.end()) << phase;
+    const obs::SeriesSnapshot* series =
+        snap.find("trinity_stage_duration_seconds", {{"stage", stage}});
+    ASSERT_NE(series, nullptr) << stage;
+    EXPECT_EQ(series->hist.count(), 1u) << stage;
+    EXPECT_EQ(series->hist.sum, it->wall_seconds) << stage;
+  }
 
   // A transient fault must not change the assembly.
   EXPECT_EQ(slurp(dir.file("Trinity.fa")), slurp(baseline_dir.file("Trinity.fa")));
