@@ -1,21 +1,22 @@
 // trinity_top: live one-screen status for a running trinity_serve instance.
 //
-// Tails `<root>/metrics.json` (the versioned snapshot obs::MetricsExporter
-// publishes atomically every cycle) and renders the server at a glance:
+// Tails `<root>/metrics.prom` (the Prometheus text snapshot
+// obs::MetricsExporter publishes atomically every cycle), reads it with the
+// strict exposition parser, and renders the server at a glance:
 // queue depth and age, in-flight jobs with their current pipeline stage
 // (derived from the trinity_job_stage_heartbeat gauges), admission and
 // terminal-outcome totals, retry/preemption/kill rates, and latency
-// quantiles for job wall time and journal fsync. No connection to the
-// server is needed — the snapshot file is the whole protocol, so it works
-// across restarts and on post-mortem roots.
+// quantiles for job wall time and journal fsync. The heading's snapshot
+// number and uptime come from the document's header gauges. No connection
+// to the server is needed — the snapshot file is the whole protocol, so it
+// works across restarts and on post-mortem roots. A document the parser
+// rejects is reported with the parser's error and never rendered; tailing
+// goes on, and `--iterations N` exits 1 when no frame rendered.
 //
 // Build & run:
 //   cmake -B build && cmake --build build
 //   ./build/examples/trinity_serve --jobs jobs.jsonl --root /tmp/serve &
 //   ./build/examples/trinity_top --root /tmp/serve
-//
-// `--check-prom FILE` instead runs the strict Prometheus text parser over
-// FILE and exits 0/1; scripts/check.sh uses it to validate metrics.prom.
 
 #include <algorithm>
 #include <cmath>
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/exporter.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/config.hpp"
@@ -153,9 +155,9 @@ std::vector<ActiveJob> active_jobs(const MetricsSnapshot& snap) {
   return jobs;
 }
 
-void render(const MetricsSnapshot& snap, const std::string& json_path) {
+void render(const MetricsSnapshot& snap, const std::string& path) {
   std::printf("trinity_top — %s  (snapshot #%llu, server uptime %s)\n",
-              json_path.c_str(), static_cast<unsigned long long>(snap.sequence),
+              path.c_str(), static_cast<unsigned long long>(snap.sequence),
               fmt_seconds(snap.uptime_s).c_str());
 
   const double depth = snap.value_or("trinity_serve_queue_depth", {});
@@ -259,43 +261,18 @@ void render(const MetricsSnapshot& snap, const std::string& json_path) {
   std::fflush(stdout);
 }
 
-int check_prom(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "trinity_top: cannot open " << path << '\n';
-    return 1;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    const MetricsSnapshot snap =
-        trinity::obs::parse_prometheus_text(text.str());
-    std::size_t series = 0;
-    for (const auto& f : snap.families) series += f.series.size();
-    std::cout << path << ": valid Prometheus exposition, " << snap.families.size()
-              << " families, " << series << " series\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "trinity_top: " << path << ": " << e.what() << '\n';
-    return 1;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace trinity;
   Config cfg("trinity_top",
-             "live one-screen serve status from <root>/metrics.json");
-  cfg.usage("--root DIR [--iterations N] | --check-prom FILE")
-      .flag_string("root", "", "serve root holding metrics.json (required)")
+             "live one-screen serve status from <root>/metrics.prom");
+  cfg.usage("--root DIR [--iterations N]")
+      .flag_string("root", "", "serve root holding metrics.prom (required)")
       .flag_int("iterations", 0, "render this many frames then exit (0 = forever)")
       .flag_double("period-s", 1.0, "refresh interval between frames")
       .flag_bool("clear", true,
-                 "clear the screen between frames (--no-clear for logs/pipes)")
-      .flag_string("check-prom", "",
-                   "validate a metrics.prom file with the strict exposition "
-                   "parser and exit 0/1 (no rendering)");
+                 "clear the screen between frames (--no-clear for logs/pipes)");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {
@@ -306,15 +283,12 @@ int main(int argc, char** argv) {
     std::cout << cfg.help_text();
     return 0;
   }
-  const std::string prom_path = cfg.get_string("check-prom");
-  if (!prom_path.empty()) return check_prom(prom_path);
-
   const std::string root = cfg.get_string("root");
   if (root.empty()) {
     std::cerr << "trinity_top: --root DIR is required (see --help)\n";
     return 2;
   }
-  const std::string json_path = root + "/metrics.json";
+  const std::string path = root + "/" + obs::kMetricsFileName;
   const long long iterations = cfg.get_int("iterations");
   const double period_s = cfg.get_double("period-s");
   const bool clear = cfg.get_bool("clear");
@@ -325,9 +299,9 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(std::max(0.05, period_s)));
     }
-    std::ifstream in(json_path);
+    std::ifstream in(path);
     if (!in) {
-      std::printf("trinity_top: waiting for %s ...\n", json_path.c_str());
+      std::printf("trinity_top: waiting for %s ...\n", path.c_str());
       std::fflush(stdout);
       continue;
     }
@@ -335,16 +309,16 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     MetricsSnapshot snap;
     try {
-      snap = obs::snapshot_from_json(util::Json::parse(text.str()));
+      snap = obs::parse_prometheus_text(text.str());
     } catch (const std::exception& e) {
-      // The exporter publishes atomically, so a parse failure means a real
-      // schema problem, not a torn write. Surface it and keep tailing.
-      std::printf("trinity_top: %s: %s\n", json_path.c_str(), e.what());
+      // The exporter publishes atomically, so a rejected document is a torn
+      // commit or a foreign writer. Surface it and keep tailing.
+      std::printf("trinity_top: %s: %s\n", path.c_str(), e.what());
       std::fflush(stdout);
       continue;
     }
     if (clear && rendered_any) std::printf("\033[H\033[2J");
-    render(snap, json_path);
+    render(snap, path);
     rendered_any = true;
   }
   return rendered_any ? 0 : 1;

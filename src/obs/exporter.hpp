@@ -2,10 +2,10 @@
 //
 // MetricsExporter owns one background thread that every `period_s` renders a
 // registry snapshot and publishes it as `<dir>/metrics.prom` (Prometheus
-// text) and `<dir>/metrics.json` (versioned JSON, tailed by trinity_top).
-// Both files go through io::write_file_atomic — write tmp, fsync, rename —
-// so a reader never observes a partial document and the io fault matrix
-// (ENOSPC, EIO, short write, torn rename) applies to the publish path.
+// text, see exposition.hpp), the one file scrapers and trinity_top read.
+// Each cycle is one io::write_file_atomic — write tmp, fsync, rename — so a
+// reader never observes a partial document and the io fault matrix (ENOSPC,
+// EIO, short write, torn rename) applies to the publish path.
 //
 // Failure discipline mirrors the job journal: a transient IoError skips the
 // cycle (counted, retried next tick); a permanent IoError marks the exporter
@@ -25,11 +25,12 @@
 
 namespace trinity::obs {
 
+/// File name of the published snapshot inside ExporterOptions::dir.
+inline constexpr const char* kMetricsFileName = "metrics.prom";
+
 struct ExporterOptions {
-  std::string dir;           ///< directory the snapshot files land in
-  double period_s = 1.0;     ///< export cadence
-  std::string prom_name = "metrics.prom";
-  std::string json_name = "metrics.json";
+  std::string dir;        ///< directory metrics.prom lands in
+  double period_s = 1.0;  ///< export cadence
 };
 
 class MetricsExporter {
@@ -41,7 +42,7 @@ class MetricsExporter {
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
   /// One synchronous export cycle (also what the thread runs). Returns true
-  /// when both files were published. Safe to call concurrently with the
+  /// when the snapshot was published. Safe to call concurrently with the
   /// thread; publication is serialized internally.
   bool export_now();
 
@@ -59,7 +60,6 @@ class MetricsExporter {
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
   std::string prom_path() const;
-  std::string json_path() const;
 
  private:
   void loop();

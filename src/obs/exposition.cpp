@@ -8,9 +8,19 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 namespace trinity::obs {
 namespace {
+
+// The snapshot header, rendered as two unlabeled gauges ahead of every family.
+constexpr std::string_view kSequenceFamily = "trinity_metrics_sequence";
+constexpr std::string_view kUptimeFamily = "trinity_metrics_uptime_seconds";
+
+bool is_header_family(std::string_view name) {
+  return name == kSequenceFamily || name == kUptimeFamily;
+}
 
 /// Shortest-exact formatting: integral values print without an exponent or
 /// fraction, everything else round-trips through %.17g.
@@ -101,15 +111,32 @@ bool valid_label_name(const std::string& name) {
   return true;
 }
 
+void append_family_header(std::string& out, std::string_view name,
+                          const std::string& help, MetricKind kind) {
+  out += "# HELP ";
+  out += name;
+  out += ' ' + escape_help(help) + "\n# TYPE ";
+  out += name;
+  out += ' ';
+  out += to_string(kind);
+  out += '\n';
+}
+
 }  // namespace
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
+  auto header_gauge = [&out](std::string_view name, const char* help, double v) {
+    append_family_header(out, name, help, MetricKind::kGauge);
+    out += name;
+    out += ' ' + format_value(v) + '\n';
+  };
+  header_gauge(kSequenceFamily, "Snapshot sequence number, bumped per snapshot.",
+               static_cast<double>(snapshot.sequence));
+  header_gauge(kUptimeFamily, "Seconds since the metrics registry was created.",
+               snapshot.uptime_s);
   for (const FamilySnapshot& family : snapshot.families) {
-    out += "# HELP " + family.name + " " + escape_help(family.help) + "\n";
-    out += "# TYPE " + family.name + " ";
-    out += to_string(family.kind);
-    out += "\n";
+    append_family_header(out, family.name, family.help, family.kind);
     for (const SeriesSnapshot& series : family.series) {
       if (family.kind != MetricKind::kHistogram) {
         out += family.name;
@@ -144,97 +171,6 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     }
   }
   return out;
-}
-
-util::Json to_json(const MetricsSnapshot& snapshot) {
-  util::Json doc = util::Json::object();
-  doc.set("schema_version", util::Json(kMetricsSchemaVersion));
-  doc.set("sequence", util::Json(snapshot.sequence));
-  doc.set("uptime_s", util::Json(snapshot.uptime_s));
-  util::Json families = util::Json::array();
-  for (const FamilySnapshot& family : snapshot.families) {
-    util::Json fj = util::Json::object();
-    fj.set("name", util::Json(family.name));
-    fj.set("type", util::Json(to_string(family.kind)));
-    fj.set("help", util::Json(family.help));
-    util::Json series = util::Json::array();
-    for (const SeriesSnapshot& s : family.series) {
-      util::Json sj = util::Json::object();
-      util::Json labels = util::Json::object();
-      for (const auto& [k, v] : s.labels) labels.set(k, util::Json(v));
-      sj.set("labels", std::move(labels));
-      if (family.kind == MetricKind::kHistogram) {
-        util::Json bounds = util::Json::array();
-        for (const double b : s.hist.bounds) bounds.push_back(util::Json(b));
-        util::Json buckets = util::Json::array();
-        for (const std::uint64_t b : s.hist.buckets) {
-          buckets.push_back(util::Json(b));
-        }
-        sj.set("bounds", std::move(bounds));
-        sj.set("buckets", std::move(buckets));
-        sj.set("count", util::Json(s.hist.count()));
-        sj.set("sum", util::Json(s.hist.sum));
-      } else {
-        const double v = s.value;
-        if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-          sj.set("value", util::Json(static_cast<std::int64_t>(v)));
-        } else {
-          sj.set("value", util::Json(v));
-        }
-      }
-      series.push_back(std::move(sj));
-    }
-    fj.set("series", std::move(series));
-    families.push_back(std::move(fj));
-  }
-  doc.set("families", std::move(families));
-  return doc;
-}
-
-MetricsSnapshot snapshot_from_json(const util::Json& doc) {
-  const std::int64_t version = doc.at("schema_version").as_int();
-  if (version != kMetricsSchemaVersion) {
-    throw std::runtime_error("unsupported metrics schema version " +
-                             std::to_string(version));
-  }
-  MetricsSnapshot snap;
-  snap.sequence = static_cast<std::uint64_t>(doc.at("sequence").as_int());
-  snap.uptime_s = doc.at("uptime_s").as_double();
-  for (const util::Json& fj : doc.at("families").items()) {
-    FamilySnapshot family;
-    family.name = fj.at("name").as_string();
-    family.help = fj.at("help").as_string();
-    const std::string& type = fj.at("type").as_string();
-    if (type == "counter") family.kind = MetricKind::kCounter;
-    else if (type == "gauge") family.kind = MetricKind::kGauge;
-    else if (type == "histogram") family.kind = MetricKind::kHistogram;
-    else throw std::runtime_error("unknown metric type " + type);
-    for (const util::Json& sj : fj.at("series").items()) {
-      SeriesSnapshot series;
-      for (const auto& [k, v] : sj.at("labels").members()) {
-        series.labels.emplace_back(k, v.as_string());
-      }
-      if (family.kind == MetricKind::kHistogram) {
-        for (const util::Json& b : sj.at("bounds").items()) {
-          series.hist.bounds.push_back(b.as_double());
-        }
-        for (const util::Json& b : sj.at("buckets").items()) {
-          series.hist.buckets.push_back(
-              static_cast<std::uint64_t>(b.as_int()));
-        }
-        if (series.hist.buckets.size() != series.hist.bounds.size() + 1) {
-          throw std::runtime_error("histogram bucket/bound size mismatch in " +
-                                   family.name);
-        }
-        series.hist.sum = sj.at("sum").as_double();
-      } else {
-        series.value = sj.at("value").as_double();
-      }
-      family.series.push_back(std::move(series));
-    }
-    snap.families.push_back(std::move(family));
-  }
-  return snap;
 }
 
 // --- text-format parser ------------------------------------------------------
@@ -275,6 +211,9 @@ Labels parse_label_set(ParseCursor& c) {
     if (!c.done() && c.peek() == '}') { ++c.pos; break; }
     const std::string key = parse_name_token(c);
     if (!valid_label_name(key)) c.fail("invalid label name '" + key + "'");
+    for (const auto& label : labels) {
+      if (label.first == key) c.fail("repeated label name '" + key + "'");
+    }
     if (c.done() || c.peek() != '=') c.fail("expected '=' after label name");
     ++c.pos;
     if (c.done() || c.peek() != '"') c.fail("expected '\"' for label value");
@@ -320,6 +259,32 @@ double parse_sample_value(ParseCursor& c) {
   return v;
 }
 
+/// HELP text with its `\\` and `\n` escapes undone (inverse of escape_help).
+std::string unescape_help(const ParseCursor& c, const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '\\') {
+      out += text[i];
+      continue;
+    }
+    if (++i == text.size()) c.fail("dangling escape in HELP");
+    if (text[i] == 'n') out += '\n';
+    else if (text[i] == '\\') out += '\\';
+    else c.fail("unknown escape in HELP");
+  }
+  return out;
+}
+
+/// A bucket, `_count` or sequence value: converting anything but a finite
+/// integer in [0, 2^64) to std::uint64_t would be undefined.
+std::uint64_t count_value(const ParseCursor& c, double v, const char* what) {
+  if (!(v >= 0.0 && v < 18446744073709551616.0) || v != std::floor(v)) {
+    c.fail(std::string(what) + " must be an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 /// Histogram series under assembly: cumulative buckets in emission order.
 struct PendingHistogram {
   Labels labels;
@@ -358,8 +323,11 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    if (line.empty()) continue;
     ParseCursor c{line, 0, lineno};
+    // The format ends every line, the last included, with '\n'; a document
+    // that stops mid-line was cut short.
+    if (in.eof()) c.fail("no newline at end of document (truncated?)");
+    if (line.empty()) continue;
     if (line[0] == '#') {
       std::istringstream meta(line);
       std::string hash, keyword, name;
@@ -369,7 +337,7 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
         std::string help;
         std::getline(meta, help);
         if (!help.empty() && help.front() == ' ') help.erase(0, 1);
-        pending_help[name] = help;
+        pending_help[name] = unescape_help(c, help);
       } else if (keyword == "TYPE") {
         if (!valid_metric_name(name)) c.fail("invalid metric name in TYPE");
         const auto help_it = pending_help.find(name);
@@ -388,6 +356,9 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
         else if (type == "gauge") family.kind = MetricKind::kGauge;
         else if (type == "histogram") family.kind = MetricKind::kHistogram;
         else c.fail("unknown TYPE '" + type + "'");
+        if (is_header_family(name) && family.kind != MetricKind::kGauge) {
+          c.fail("'" + name + "' must be a gauge");
+        }
         family_index[name] = snap.families.size();
         snap.families.push_back(std::move(family));
       }
@@ -433,6 +404,16 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
 
     if (family.kind != MetricKind::kHistogram) {
       if (role != kPlain) c.fail("suffixed sample for non-histogram family");
+      if (is_header_family(family.name)) {
+        if (!labels.empty() || !family.series.empty()) {
+          c.fail("'" + family.name + "' must be one unlabeled gauge sample");
+        }
+        if (family.name == kSequenceFamily) {
+          snap.sequence = count_value(c, value, "snapshot sequence");
+        } else {
+          snap.uptime_s = value;
+        }
+      }
       SeriesSnapshot series;
       series.labels = std::move(labels);
       series.value = value;
@@ -465,10 +446,7 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
     switch (role) {
       case kBucket: {
         if (pending.saw_inf) c.fail("bucket after the +Inf bucket");
-        if (value < 0 || value != std::floor(value)) {
-          c.fail("bucket count must be a non-negative integer");
-        }
-        const auto cumulative = static_cast<std::uint64_t>(value);
+        const std::uint64_t cumulative = count_value(c, value, "bucket count");
         if (!pending.cumulative.empty() &&
             cumulative < pending.cumulative.back()) {
           c.fail("histogram buckets are not cumulative");
@@ -494,10 +472,7 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
         pending.saw_sum = true;
         break;
       case kCount:
-        if (value < 0 || value != std::floor(value)) {
-          c.fail("histogram count must be a non-negative integer");
-        }
-        pending.count = static_cast<std::uint64_t>(value);
+        pending.count = count_value(c, value, "histogram count");
         pending.saw_count = true;
         break;
       case kPlain:
@@ -531,6 +506,10 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
     }
     snap.families[family_index.at(name)].series.push_back(std::move(series));
   }
+  // The header gauges were lifted into sequence/uptime_s above.
+  std::erase_if(snap.families, [](const FamilySnapshot& family) {
+    return is_header_family(family.name);
+  });
   return snap;
 }
 

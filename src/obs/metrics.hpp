@@ -10,8 +10,8 @@
 //
 // Snapshots are mergeable: counters and histogram buckets add, gauges are
 // last-writer-wins. obs::MetricsExporter (exporter.hpp) periodically renders
-// snapshots to <root>/metrics.prom and <root>/metrics.json via atomic
-// write+rename; exposition.hpp holds the render/parse round-trip.
+// snapshots to <root>/metrics.prom via atomic write+rename; exposition.hpp
+// holds the render/parse round-trip.
 
 #pragma once
 

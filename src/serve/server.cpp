@@ -74,9 +74,7 @@ JobServer::JobServer(ServerOptions options)
                     : options_.root_dir),
       metrics_(options_.metrics ? std::make_unique<LiveMetrics>() : nullptr),
       pool_(options_.total_ranks),
-      index_cache_(options_.share_index_cache
-                       ? std::make_shared<chrysalis::TranscriptIndexCache>()
-                       : nullptr),
+      index_cache_(std::make_shared<chrysalis::TranscriptIndexCache>()),
       admission_(options_.total_ranks, options_.max_queue_depth, options_.default_quota,
                  options_.tenant_quotas, options_.min_plausible_runtime_s) {
   std::filesystem::create_directories(root_dir_);

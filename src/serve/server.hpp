@@ -94,12 +94,6 @@ struct ServerOptions {
   std::string root_dir;  ///< job work dirs live at <root>/<tenant>/<job_id>;
                          ///< empty = <tmp>/trinity_serve
   bool preemption = true;  ///< priority preemption (off = strict FIFO by priority)
-  /// Share one read-only TranscriptIndex across jobs whose runs have the
-  /// same options fingerprint (same reads + output-affecting options):
-  /// the first index-mode job builds or mmaps it, later ones map against
-  /// the cached copy (run reports show index_source "shared-cache"). See
-  /// docs/INDEXING.md. Only affects jobs running --r2t-mode index.
-  bool share_index_cache = true;
   /// Defaults seeded into submit_text's job-spec parse, exactly like a
   /// binary's with_pipeline(defaults).
   pipeline::PipelineOptions job_defaults;
@@ -130,9 +124,8 @@ struct ServerOptions {
   /// one pointer test); on, each update is a few relaxed atomics.
   bool metrics = true;
   /// Exporter cadence: every period the registry snapshot is published
-  /// atomically as <root>/metrics.prom (Prometheus text) and
-  /// <root>/metrics.json (versioned schema, tailed by trinity_top), with
-  /// one final export at shutdown. 0 disables the exporter thread;
+  /// atomically as <root>/metrics.prom (Prometheus text, tailed by
+  /// trinity_top), with one final export at shutdown. 0 disables the exporter thread;
   /// metrics_snapshot() stays available either way.
   double metrics_export_period_s = 1.0;
 };
@@ -290,9 +283,12 @@ class JobServer {
   std::unique_ptr<LiveMetrics> metrics_;
   std::unique_ptr<obs::MetricsExporter> exporter_;
   simpi::RankPool pool_;
-  /// Process-wide read-only index cache handed to every dispatch (null
-  /// when share_index_cache is off). Entries are immutable shared_ptrs,
-  /// so concurrent jobs map against one loaded copy safely.
+  /// Process-wide read-only index cache handed to every dispatch: jobs
+  /// whose runs share an options fingerprint (same reads + output-affecting
+  /// options) map against one TranscriptIndex, built or mmapped by the
+  /// first index-mode job (run reports show index_source "shared-cache";
+  /// docs/INDEXING.md). Entries are immutable shared_ptrs, so concurrent
+  /// jobs map against one loaded copy safely.
   std::shared_ptr<chrysalis::TranscriptIndexCache> index_cache_;
 
   mutable std::mutex mutex_;

@@ -1,13 +1,15 @@
 // The obs subsystem: lock-light registry semantics (identity, type safety,
 // exact totals under concurrent writers, monotonic counters across
 // snapshots), histogram bucket boundaries and quantiles, snapshot merging,
-// the Prometheus/JSON exposition round-trip, and the exporter's atomic
-// publication under the io fault matrix — a failed publish cycle must never
-// leave a torn or half-written snapshot where a reader would accept it.
+// the Prometheus exposition round-trip (seeded mutants included), and the
+// exporter's atomic publication under the io fault matrix — a failed publish
+// cycle must never leave a torn or half-written snapshot where a reader
+// would accept it.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,7 +22,6 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
-#include "util/json.hpp"
 
 namespace trinity::obs {
 namespace {
@@ -203,7 +204,8 @@ MetricsRegistry& exposition_fixture(MetricsRegistry& registry) {
   registry.counter("trinity_jobs_total", "Terminal jobs by outcome.",
                    {{"tenant", "bo\"b\\x\n"}, {"outcome", "failed"}})
       .inc(1.0);
-  registry.gauge("trinity_queue_depth", "Jobs waiting.").set(4.0);
+  registry.gauge("trinity_queue_depth", "Jobs waiting\\queued.\nSecond line.")
+      .set(4.0);
   Histogram& hist = registry.histogram(
       "trinity_latency_seconds", "Completion latency.", {0.1, 1.0, 10.0});
   hist.observe(0.05);
@@ -234,7 +236,18 @@ void expect_same_families(const MetricsSnapshot& a, const MetricsSnapshot& b) {
 TEST(Exposition, PrometheusRoundTripPreservesEveryFamily) {
   MetricsRegistry registry;
   const MetricsSnapshot snap = exposition_fixture(registry).snapshot();
+  ASSERT_GT(snap.sequence, 0u);
+  ASSERT_GT(snap.uptime_s, 0.0);
   const std::string text = to_prometheus(snap);
+
+  // The snapshot header leads the document as two unlabeled gauges.
+  EXPECT_EQ(text.rfind("# HELP trinity_metrics_sequence ", 0), 0u) << text;
+  EXPECT_NE(text.find("\ntrinity_metrics_sequence " + std::to_string(snap.sequence) +
+                      "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE trinity_metrics_uptime_seconds gauge\n"),
+            std::string::npos);
 
   // Every family must carry its HELP and TYPE headers with stable names.
   for (const char* name :
@@ -248,11 +261,29 @@ TEST(Exposition, PrometheusRoundTripPreservesEveryFamily) {
   EXPECT_NE(text.find("trinity_latency_seconds_bucket{le=\"+Inf\"} 3"),
             std::string::npos);
   EXPECT_NE(text.find("trinity_latency_seconds_count 3"), std::string::npos);
-  // Label values with quotes/backslashes/newlines are escaped on the wire.
+  // Label values with quotes/backslashes/newlines are escaped on the wire,
+  // and so are HELP texts with backslashes/newlines.
   EXPECT_NE(text.find("bo\\\"b\\\\x\\n"), std::string::npos) << text;
+  EXPECT_NE(
+      text.find("# HELP trinity_queue_depth Jobs waiting\\\\queued.\\nSecond line.\n"),
+      std::string::npos)
+      << text;
 
   const MetricsSnapshot parsed = parse_prometheus_text(text);
+  // The header comes back as the snapshot's fields, not as families.
+  EXPECT_EQ(parsed.sequence, snap.sequence);
+  EXPECT_EQ(parsed.uptime_s, snap.uptime_s);
   expect_same_families(snap, parsed);
+
+  // Header gauges are optional: a hand-written document still loads.
+  const MetricsSnapshot bare = parse_prometheus_text(
+      "# HELP trinity_queue_depth Jobs waiting.\n"
+      "# TYPE trinity_queue_depth gauge\n"
+      "trinity_queue_depth 4\n");
+  EXPECT_EQ(bare.sequence, 0u);
+  EXPECT_EQ(bare.uptime_s, 0.0);
+  ASSERT_EQ(bare.families.size(), 1u);
+  EXPECT_DOUBLE_EQ(bare.value_or("trinity_queue_depth", {}), 4.0);
 }
 
 TEST(Exposition, PrometheusParserRejectsMalformedDocuments) {
@@ -275,25 +306,137 @@ TEST(Exposition, PrometheusParserRejectsMalformedDocuments) {
                    "trinity_h_seconds_sum 1\n"
                    "trinity_h_seconds_count 5\n"),
                std::runtime_error);
-  // Truncation mid-line (what a torn write would leave behind).
+  // Bucket and _count values must be integers in [0, 2^64): +Inf, 1e30,
+  // 2^64, NaN, negatives and fractions would not convert to a count.
+  const std::string h =
+      "# HELP trinity_h_seconds h\n"
+      "# TYPE trinity_h_seconds histogram\n";
+  for (const char* bad_bucket :
+       {"+Inf", "1e30", "18446744073709551616", "NaN", "-1", "0.5"}) {
+    EXPECT_THROW(parse_prometheus_text(
+                     h + "trinity_h_seconds_bucket{le=\"+Inf\"} " + bad_bucket +
+                     "\ntrinity_h_seconds_sum 1\ntrinity_h_seconds_count 0\n"),
+                 std::runtime_error)
+        << bad_bucket;
+    EXPECT_THROW(parse_prometheus_text(
+                     h + "trinity_h_seconds_bucket{le=\"+Inf\"} 0\n"
+                         "trinity_h_seconds_sum 1\ntrinity_h_seconds_count " +
+                     bad_bucket + "\n"),
+                 std::runtime_error)
+        << bad_bucket;
+  }
+  // A header gauge with labels, a repeat, or a non-integral sequence.
+  const std::string seq =
+      "# HELP trinity_metrics_sequence s\n"
+      "# TYPE trinity_metrics_sequence gauge\n";
+  for (const char* bad_header :
+       {"trinity_metrics_sequence{a=\"b\"} 1\n",
+        "trinity_metrics_sequence 1\ntrinity_metrics_sequence 2\n",
+        "trinity_metrics_sequence 1.5\n", "trinity_metrics_sequence +Inf\n"}) {
+    EXPECT_THROW(parse_prometheus_text(seq + bad_header), std::runtime_error)
+        << bad_header;
+  }
+  EXPECT_THROW(parse_prometheus_text("# HELP trinity_metrics_sequence s\n"
+                                     "# TYPE trinity_metrics_sequence counter\n"),
+               std::runtime_error);
+  // A repeated label name, and a HELP escape the renderer never writes.
+  EXPECT_THROW(parse_prometheus_text("# HELP trinity_g g\n# TYPE trinity_g gauge\n"
+                                     "trinity_g{a=\"1\",a=\"2\"} 1\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse_prometheus_text("# HELP trinity_g g\\t\n# TYPE trinity_g gauge\n"),
+               std::runtime_error);
+  // Truncation mid-line (what a torn write would leave behind), including
+  // a cut inside the last sample's value, which leaves no final newline.
   MetricsRegistry registry;
   const std::string text = to_prometheus(exposition_fixture(registry).snapshot());
   EXPECT_THROW(parse_prometheus_text(text.substr(0, text.size() / 2)),
                std::runtime_error);
+  EXPECT_THROW(parse_prometheus_text(text.substr(0, text.size() - 1)),
+               std::runtime_error);
 }
 
-TEST(Exposition, JsonRoundTripAndSchemaVersionGate) {
-  MetricsRegistry registry;
-  const MetricsSnapshot snap = exposition_fixture(registry).snapshot();
-  util::Json doc = to_json(snap);
-  EXPECT_EQ(doc.at("schema_version").as_int(), kMetricsSchemaVersion);
-  const MetricsSnapshot parsed =
-      snapshot_from_json(util::Json::parse(doc.dump(2)));
-  EXPECT_EQ(parsed.sequence, snap.sequence);
-  expect_same_families(snap, parsed);
+// --- seeded mutation of the exposition --------------------------------------------
 
-  doc.set("schema_version", static_cast<std::int64_t>(kMetricsSchemaVersion + 1));
-  EXPECT_THROW(snapshot_from_json(doc), std::runtime_error);
+/// One to three stacked mutations of a rendered document: bit flips, a
+/// truncation, or a line splice (a line dropped, duplicated or moved, or a
+/// prefix of one line joined to the suffix of another).
+std::string mutate(const std::string& doc, std::mt19937_64& rng) {
+  std::string text = doc;
+  for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
+    switch (rng() % 3) {
+      case 0:
+        if (text.empty()) break;
+        for (int flips = 1 + static_cast<int>(rng() % 4); flips > 0; --flips) {
+          char& c = text[rng() % text.size()];
+          c = static_cast<char>(c ^ (1 << (rng() % 8)));
+        }
+        break;
+      case 1:
+        text.resize(text.empty() ? 0 : rng() % text.size());
+        break;
+      default: {
+        std::vector<std::string> lines;
+        std::istringstream in(text);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+        if (lines.empty()) break;
+        const std::size_t a = rng() % lines.size();
+        const std::size_t b = rng() % lines.size();
+        switch (rng() % 4) {
+          case 0:
+            lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(a));
+            break;
+          case 1:
+            lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(a), lines[b]);
+            break;
+          case 2:
+            std::swap(lines[a], lines[b]);
+            break;
+          default:
+            lines[a] = lines[a].substr(0, rng() % (lines[a].size() + 1)) +
+                       lines[b].substr(rng() % (lines[b].size() + 1));
+        }
+        text.clear();
+        for (const std::string& line : lines) text += line + "\n";
+      }
+    }
+  }
+  return text;
+}
+
+constexpr std::uint64_t kMutationSeeds[] = {1, 2, 3};
+
+TEST(ExpositionMutation, MutantsParseToStableSnapshotsOrThrow) {
+  MetricsRegistry registry;
+  const std::string doc = to_prometheus(exposition_fixture(registry).snapshot());
+  std::size_t parsed_count = 0;
+  std::size_t rejected = 0;
+  for (const std::uint64_t seed : kMutationSeeds) {
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const std::string text = mutate(doc, rng);
+      MetricsSnapshot parsed;
+      try {
+        parsed = parse_prometheus_text(text);
+      } catch (const std::runtime_error&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed_count;
+      // A mutant that parses is a well-formed snapshot: rendering it and
+      // parsing again gives the same header and families (compared on the
+      // rendered text, which is exact for every double, NaN included).
+      const std::string rendered = to_prometheus(parsed);
+      MetricsSnapshot again;
+      ASSERT_NO_THROW(again = parse_prometheus_text(rendered))
+          << "seed " << seed << ":\n" << text;
+      EXPECT_EQ(again.sequence, parsed.sequence) << "seed " << seed;
+      ASSERT_EQ(to_prometheus(again), rendered) << "seed " << seed << ":\n" << text;
+    }
+  }
+  // Flips inside values and label text, and splices that drop or repeat a
+  // whole gauge sample, keep some mutants valid, so both outcomes occur.
+  EXPECT_GT(parsed_count, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- exporter under the io fault matrix -------------------------------------------
@@ -304,11 +447,10 @@ TEST(MetricsExporter, ExportNowPublishesParseableFiles) {
   registry.counter("trinity_ops_total", "help").inc(5.0);
   MetricsExporter exporter(&registry, {dir.str(), /*period_s=*/60.0});
   ASSERT_TRUE(exporter.export_now());
+  EXPECT_EQ(exporter.prom_path(), dir.str() + "/metrics.prom");
   const MetricsSnapshot prom = parse_prometheus_text(slurp(exporter.prom_path()));
   EXPECT_DOUBLE_EQ(prom.value_or("trinity_ops_total", {}), 5.0);
-  const MetricsSnapshot json =
-      snapshot_from_json(util::Json::parse(slurp(exporter.json_path())));
-  EXPECT_DOUBLE_EQ(json.value_or("trinity_ops_total", {}), 5.0);
+  EXPECT_GT(prom.sequence, 0u);
   exporter.stop();
 }
 
@@ -377,16 +519,12 @@ TEST(MetricsExporter, TornRenameNeverPassesOffAPartialSnapshot) {
     EXPECT_FALSE(exporter.export_now());
   }
   // A torn rename models a crash mid-commit: the .prom destination holds a
-  // truncated document. The strict parser must reject it — a reader can
-  // never mistake the torn file for a valid snapshot.
+  // truncated document. The strict parser must reject it — a reader such
+  // as trinity_top reports the error and never mistakes the torn file for a
+  // valid snapshot.
   EXPECT_TRUE(exporter.degraded());
   EXPECT_THROW(parse_prometheus_text(slurp(exporter.prom_path())),
                std::runtime_error);
-  // metrics.json is committed after metrics.prom, so the failed cycle never
-  // touched it: trinity_top keeps rendering the last complete snapshot.
-  const MetricsSnapshot json =
-      snapshot_from_json(util::Json::parse(slurp(exporter.json_path())));
-  EXPECT_DOUBLE_EQ(json.value_or("trinity_ops_total", {}), 1.0);
   exporter.stop();
 }
 
@@ -401,8 +539,7 @@ TEST(MetricsExporter, BackgroundThreadPublishesAndStopFlushesFinalTotals) {
   }
   exporter.stop();  // final export lands the terminal totals
   EXPECT_GE(exporter.cycles(), 1u);
-  const MetricsSnapshot snap =
-      snapshot_from_json(util::Json::parse(slurp(exporter.json_path())));
+  const MetricsSnapshot snap = parse_prometheus_text(slurp(exporter.prom_path()));
   EXPECT_DOUBLE_EQ(snap.value_or("trinity_ops_total", {}), 10.0);
 }
 

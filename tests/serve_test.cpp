@@ -107,7 +107,7 @@ TEST(JobSpec, UnderscoreSpellingsWork) {
 
 TEST(JobSpec, MissingTenantIsTypedError) {
   try {
-    parse_job_spec_text(R"({"reads": "/r.fa"})", "<test>");
+    (void)parse_job_spec_text(R"({"reads": "/r.fa"})", "<test>");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "tenant");
@@ -116,7 +116,7 @@ TEST(JobSpec, MissingTenantIsTypedError) {
 
 TEST(JobSpec, MissingReadsIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t"})", "<test>");
+    (void)parse_job_spec_text(R"({"tenant": "t"})", "<test>");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "reads");
@@ -125,7 +125,8 @@ TEST(JobSpec, MissingReadsIsTypedError) {
 
 TEST(JobSpec, UnknownKeyIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "walltime": 3})", "<test>");
+    (void)parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "walltime": 3})",
+                              "<test>");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "walltime");
@@ -134,7 +135,7 @@ TEST(JobSpec, UnknownKeyIsTypedError) {
 
 TEST(JobSpec, OutOfRangePipelineOptionIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "k": 99})", "<test>");
+    (void)parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "k": 99})", "<test>");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "k");
@@ -143,8 +144,8 @@ TEST(JobSpec, OutOfRangePipelineOptionIsTypedError) {
 
 TEST(JobSpec, MalformedIoFaultIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "io-fault": "bogus"})",
-                        "<test>");
+    (void)parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "io-fault": "bogus"})",
+                              "<test>");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "io-fault");
